@@ -228,6 +228,7 @@ fn accept_loop(
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
+        reap_finished(handlers);
         let Ok(stream) = stream else { continue };
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
@@ -246,6 +247,17 @@ fn accept_loop(
                 lock(&shared.conns).remove(&conn_id);
             }
         }
+    }
+}
+
+/// Joins the handlers whose connections have closed, so a long-lived
+/// worker retains only live threads. The finished handles leave the list
+/// under the lock and are joined after it is released.
+fn reap_finished(handlers: &Mutex<Vec<JoinHandle<()>>>) {
+    let finished: Vec<JoinHandle<()>> =
+        lock(handlers).extract_if(.., |handle| handle.is_finished()).collect();
+    for handle in finished {
+        let _ = handle.join();
     }
 }
 
@@ -588,6 +600,31 @@ mod tests {
         let local_root = (u64::from(addr.port()) << 32) + 1;
         assert!(root.contains(&format!("\"request\":{local_root}")), "{root}");
         assert!(root.contains("\"parent\":0"), "an untraced run is its own root: {root}");
+        worker.handle().drain();
+        worker.join();
+    }
+
+    #[test]
+    fn finished_handlers_are_reaped() {
+        let worker = test_worker();
+        let addr = worker.addr();
+        // The client has hung up: its handler deregisters the connection
+        // and exits, and every handle the acceptor has pushed is finished.
+        let settled = || {
+            let closed = lock(&worker.shared.conns).is_empty();
+            closed && lock(&worker.handlers).iter().all(|h| h.is_finished())
+        };
+        for _ in 0..40 {
+            assert!(matches!(roundtrip(addr, &Msg::Health), Msg::HealthOk { .. }));
+            while !settled() {
+                std::thread::yield_now();
+            }
+        }
+        // Each accept joins every finished handler. What remains is the
+        // newest connection's handle and at most one the acceptor pushed
+        // after the test last looked, never one per forward.
+        let retained = lock(&worker.handlers).len();
+        assert!(retained <= 2, "{retained} connection handles retained after 40 forwards");
         worker.handle().drain();
         worker.join();
     }

@@ -219,7 +219,8 @@ impl SimBuilder {
         // skipping instruction assembly, so the measured stream is the one
         // `next_inst` alone would produce. Stock-benchmark warm streams are
         // memoized per thread (`crate::warm`): every cell of a sweep shares
-        // the same stream, only the hierarchy it touches differs.
+        // the same stream, and cells of a known geometry restore a snapshot
+        // of the warmed hierarchy instead of replaying it.
         let mut core = {
             let _span = crate::spans::enter("sim.warm_up");
             let gen = match &self.spec_override {
@@ -232,17 +233,7 @@ impl SimBuilder {
                     }
                     gen
                 }
-                None => crate::warm::with_warm_state(
-                    self.benchmark,
-                    self.seed,
-                    self.cache_warm,
-                    |gen, addrs| {
-                        for &addr in addrs {
-                            mem.warm_touch(addr);
-                        }
-                        gen.clone()
-                    },
-                ),
+                None => crate::warm::warm(self.benchmark, self.seed, self.cache_warm, &mut mem),
             };
             let mut core = Core::new(self.cpu.clone(), mem, gen).expect("valid CPU configuration");
             core.set_event_horizon(self.event_horizon);

@@ -14,7 +14,7 @@ use crate::addr::line_index;
 /// c.touch(0x1000);
 /// assert!(c.probe(0x1000));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq)]
 pub struct CacheArray {
     size_bytes: u64,
     assoc: u32,
@@ -33,7 +33,7 @@ pub struct CacheArray {
 
 /// One cache way: the resident line index (or [`Way::INVALID`]) plus its
 /// last-use stamp.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Way {
     tag: u64,
     stamp: u64,
@@ -48,6 +48,25 @@ impl Way {
 
     fn line(&self) -> Option<u64> {
         (self.tag != Way::INVALID).then_some(self.tag)
+    }
+}
+
+impl Clone for CacheArray {
+    fn clone(&self) -> Self {
+        CacheArray { ways: self.ways.clone(), ..*self }
+    }
+
+    /// Reuses `self`'s way storage, so restoring a megabyte-scale warm
+    /// snapshot into a freshly built array of the same geometry is a copy
+    /// rather than a fresh allocation plus a free.
+    fn clone_from(&mut self, source: &Self) {
+        self.ways.clone_from(&source.ways);
+        self.size_bytes = source.size_bytes;
+        self.assoc = source.assoc;
+        self.line_bytes = source.line_bytes;
+        self.sets = source.sets;
+        self.set_mask = source.set_mask;
+        self.clock = source.clock;
     }
 }
 
@@ -265,6 +284,23 @@ mod tests {
             }
         }
         assert_eq!(hits, 64, "whole second pass must hit");
+    }
+
+    #[test]
+    fn clone_from_copies_state_and_geometry() {
+        let mut warm = CacheArray::new(4096, 2, 32);
+        for i in 0..300u64 {
+            warm.touch(i * 40);
+        }
+        let mut fresh = CacheArray::new(4096, 2, 32);
+        fresh.clone_from(&warm);
+        assert_eq!(fresh, warm);
+        assert_eq!(fresh.touch_evict(0x9_0000), warm.touch_evict(0x9_0000));
+        // A different geometry is overwritten wholesale, not mixed.
+        let mut other = CacheArray::new(1024, 4, 64);
+        other.clone_from(&warm);
+        assert_eq!(other, warm);
+        assert_eq!((other.size_bytes(), other.assoc(), other.line_bytes()), (4096, 2, 32));
     }
 
     #[test]

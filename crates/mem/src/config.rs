@@ -305,6 +305,16 @@ impl SecondLevel {
         }
     }
 
+    /// Tag-array geometry: `(size_bytes, assoc, line_bytes)`.
+    pub fn geometry(&self) -> (u64, u32, u64) {
+        match *self {
+            SecondLevel::Sram { size_bytes, assoc, line_bytes, .. }
+            | SecondLevel::Dram { size_bytes, assoc, line_bytes, .. } => {
+                (size_bytes, assoc, line_bytes)
+            }
+        }
+    }
+
     /// `true` for the on-chip DRAM cache.
     pub fn is_on_chip(&self) -> bool {
         matches!(self, SecondLevel::Dram { .. })

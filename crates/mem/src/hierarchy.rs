@@ -58,6 +58,78 @@ impl LoadResponse {
     }
 }
 
+/// One half of the hierarchy's functional state, as [`WarmState`]
+/// snapshots it.
+///
+/// [`MemSystem::warm_touch`] updates the two halves independently (the
+/// second level sees every address whether or not the primary cache hit),
+/// so each half's post-warm state depends only on the address stream and
+/// that half's own geometry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarmLevel {
+    /// The primary cache's tags plus the line buffer. Geometry: L1 size,
+    /// associativity and line; line-buffer entries and entry size.
+    L1,
+    /// The second level's tags (SRAM L2 or DRAM cache). Geometry: size,
+    /// associativity and line.
+    L2,
+}
+
+/// A saved copy of one [`WarmLevel`] of a warmed [`MemSystem`]: tag arrays
+/// with their LRU state, and the line buffer's recency list.
+///
+/// Warm state does not depend on ports, hit times, MSHRs, buses or
+/// latencies, so one snapshot serves every configuration whose geometry
+/// [`fits`](WarmState::fits). Restoring one is
+/// [`MemSystem::restore_warm`]; a geometry mismatch is rejected.
+///
+/// # Example
+///
+/// ```
+/// use hbc_mem::{MemConfig, MemSystem, PortModel, WarmLevel};
+///
+/// let mut warmed = MemSystem::new(MemConfig::paper_sram(32 << 10, 1, PortModel::Duplicate))?;
+/// warmed.warm_touch(0x4000);
+/// let l2 = warmed.save_warm(WarmLevel::L2);
+/// // Same geometry, different ports and hit time: the snapshot fits.
+/// let mut cell = MemSystem::new(MemConfig::paper_sram(8 << 10, 3, PortModel::Banked(8)))?;
+/// assert!(l2.fits(cell.config()));
+/// cell.restore_warm(&l2);
+/// # Ok::<(), hbc_mem::ConfigError>(())
+/// ```
+#[derive(Debug, PartialEq)]
+pub struct WarmState(Snapshot);
+
+#[derive(Debug, PartialEq)]
+enum Snapshot {
+    L1 { l1: CacheArray, lb: Option<LineBuffer> },
+    L2(CacheArray),
+}
+
+impl WarmState {
+    /// The half of the hierarchy this snapshot holds.
+    pub fn level(&self) -> WarmLevel {
+        match self.0 {
+            Snapshot::L1 { .. } => WarmLevel::L1,
+            Snapshot::L2(_) => WarmLevel::L2,
+        }
+    }
+
+    /// `true` if a system built from `cfg` has this snapshot's geometry
+    /// at its level, so [`MemSystem::restore_warm`] accepts it.
+    pub fn fits(&self, cfg: &MemConfig) -> bool {
+        match &self.0 {
+            Snapshot::L1 { l1, lb } => {
+                (l1.size_bytes(), l1.assoc(), l1.line_bytes())
+                    == (cfg.l1.size_bytes, cfg.l1.assoc, cfg.l1.line_bytes)
+                    && lb.as_ref().map(|lb| (lb.entries(), lb.line_bytes()))
+                        == cfg.l1.line_buffer.map(|c| (c.entries, c.line_bytes))
+            }
+            Snapshot::L2(l2) => (l2.size_bytes(), l2.assoc(), l2.line_bytes()) == cfg.l2.geometry(),
+        }
+    }
+}
+
 /// The memory hierarchy: optional line buffer, lock-up-free multi-ported
 /// primary data cache, second level (off-chip SRAM L2 or on-chip DRAM
 /// cache), bandwidth-limited buses, and main memory.
@@ -110,12 +182,7 @@ impl MemSystem {
     /// Returns the violated constraint if `cfg` is inconsistent.
     pub fn new(cfg: MemConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let (l2_size, l2_assoc, l2_line) = match cfg.l2 {
-            SecondLevel::Sram { size_bytes, assoc, line_bytes, .. }
-            | SecondLevel::Dram { size_bytes, assoc, line_bytes, .. } => {
-                (size_bytes, assoc, line_bytes)
-            }
-        };
+        let (l2_size, l2_assoc, l2_line) = cfg.l2.geometry();
         Ok(MemSystem {
             l1: CacheArray::new(cfg.l1.size_bytes, cfg.l1.assoc, cfg.l1.line_bytes),
             l2: CacheArray::new(l2_size, l2_assoc, l2_line),
@@ -363,15 +430,63 @@ impl MemSystem {
     ///
     /// Used to pre-warm the hierarchy to the steady state a trace hundreds
     /// of millions of instructions long (as in the paper) would reach,
-    /// before cycle-accurate measurement begins.
+    /// before cycle-accurate measurement begins. It is exactly
+    /// [`MemSystem::warm_touch_l1`] followed by [`MemSystem::warm_touch_l2`]:
+    /// the halves share no state, so a stream may also be replayed one
+    /// half at a time.
     pub fn warm_touch(&mut self, addr: u64) {
+        self.warm_touch_l1(addr);
+        self.warm_touch_l2(addr);
+    }
+
+    /// The [`WarmLevel::L1`] half of [`MemSystem::warm_touch`]: the primary
+    /// cache and the line buffer.
+    pub fn warm_touch_l1(&mut self, addr: u64) {
         let touch = self.l1.touch_evict(addr);
-        self.l2.touch(addr);
         if let Some(lb) = &mut self.lb {
             lb.fill(addr);
         }
         if let Some(evicted) = touch.evicted {
             self.invalidate_lb_line(evicted);
+        }
+    }
+
+    /// The [`WarmLevel::L2`] half of [`MemSystem::warm_touch`]: the second
+    /// level.
+    pub fn warm_touch_l2(&mut self, addr: u64) {
+        self.l2.touch(addr);
+    }
+
+    /// Saves the functional state of one half of the hierarchy, normally
+    /// right after warming.
+    pub fn save_warm(&self, level: WarmLevel) -> WarmState {
+        WarmState(match level {
+            WarmLevel::L1 => Snapshot::L1 { l1: self.l1.clone(), lb: self.lb.clone() },
+            WarmLevel::L2 => Snapshot::L2(self.l2.clone()),
+        })
+    }
+
+    /// Restores a [`MemSystem::save_warm`] snapshot into this system,
+    /// which should be freshly built: the result answers every later
+    /// access exactly as if the snapshot's address stream had been warmed
+    /// into it. The other half is left untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's geometry does not [`fit`](WarmState::fits)
+    /// this system's configuration.
+    pub fn restore_warm(&mut self, state: &WarmState) {
+        assert!(
+            state.fits(&self.cfg),
+            "warm state of another {:?} geometry restored into this system",
+            state.level()
+        );
+        match &state.0 {
+            Snapshot::L1 { l1, lb } => {
+                self.l1.clone_from(l1);
+                self.lb.clone_from(lb);
+            }
+            Snapshot::L2(l2) => self.l2.clone_from(l2),
         }
     }
 
@@ -679,6 +794,154 @@ mod tests {
         // L1 miss but L2 hit: 1 + 10 = 11 on an idle bus.
         assert_eq!(m.try_load(0x0).complete_at(), Some(11));
         m.end_cycle();
+    }
+
+    /// A deterministic address stream over `span` bytes: dense enough to
+    /// revisit lines and wide enough to evict from a small L1.
+    fn stream(seed: u64, n: usize, span: u64) -> Vec<u64> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 17) % span
+            })
+            .collect()
+    }
+
+    /// Drives two loads and one store per cycle through `m` and returns
+    /// every answer plus the final statistics.
+    fn drive(m: &mut MemSystem, addrs: &[u64]) -> (Vec<LoadResponse>, Vec<bool>, MemStats) {
+        let mut loads = Vec::new();
+        let mut stores = Vec::new();
+        for (t, group) in addrs.chunks(3).enumerate() {
+            m.begin_cycle(t as u64 * 5);
+            for &a in &group[..group.len().min(2)] {
+                loads.push(m.try_load(a));
+            }
+            if let Some(&a) = group.get(2) {
+                stores.push(m.commit_store(a));
+            }
+            m.end_cycle();
+        }
+        (loads, stores, m.stats().clone())
+    }
+
+    /// The geometries the figures use: SRAM with and without the line
+    /// buffer, and the DRAM cache's 512-byte row-buffer L1.
+    fn warm_configs() -> Vec<MemConfig> {
+        vec![
+            MemConfig::paper_sram(4 << 10, 1, PortModel::Ideal(2)),
+            MemConfig::paper_sram(4 << 10, 2, PortModel::Duplicate).with_line_buffer(),
+            MemConfig::paper_sram(32 << 10, 3, PortModel::Banked(8)).with_line_buffer(),
+            MemConfig::paper_dram(6),
+            MemConfig::paper_dram(8).with_line_buffer(),
+        ]
+    }
+
+    #[test]
+    fn restored_snapshot_answers_like_replay() {
+        let warm = stream(1, 20_000, 96 << 10);
+        let probe = stream(2, 3_000, 128 << 10);
+        for cfg in warm_configs() {
+            let mut replayed = MemSystem::new(cfg.clone()).unwrap();
+            for &a in &warm {
+                replayed.warm_touch(a);
+            }
+            // Warm a donor whose ports and latencies differ: warm state
+            // depends on geometry only.
+            let mut donor_cfg = cfg.clone().with_l2_hit_cycles(25).with_mem_latency(150);
+            donor_cfg.l1.ports = PortModel::Ideal(1);
+            donor_cfg.l1.hit_cycles = 3;
+            donor_cfg.l1.mshrs = 1;
+            let mut donor = MemSystem::new(donor_cfg).unwrap();
+            for &a in &warm {
+                donor.warm_touch(a);
+            }
+            let mut restored = MemSystem::new(cfg.clone()).unwrap();
+            restored.restore_warm(&donor.save_warm(WarmLevel::L1));
+            restored.restore_warm(&donor.save_warm(WarmLevel::L2));
+            for level in [WarmLevel::L1, WarmLevel::L2] {
+                assert_eq!(restored.save_warm(level), replayed.save_warm(level), "{cfg:?}");
+            }
+            assert_eq!(drive(&mut restored, &probe), drive(&mut replayed, &probe), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn half_replays_compose_to_warm_touch() {
+        let warm = stream(3, 10_000, 64 << 10);
+        let probe = stream(4, 1_500, 64 << 10);
+        for cfg in warm_configs() {
+            let mut whole = MemSystem::new(cfg.clone()).unwrap();
+            for &a in &warm {
+                whole.warm_touch(a);
+            }
+            // One pass per half, in either order.
+            let mut halves = MemSystem::new(cfg.clone()).unwrap();
+            for &a in &warm {
+                halves.warm_touch_l2(a);
+            }
+            for &a in &warm {
+                halves.warm_touch_l1(a);
+            }
+            for level in [WarmLevel::L1, WarmLevel::L2] {
+                assert_eq!(halves.save_warm(level), whole.save_warm(level), "{cfg:?}");
+            }
+            assert_eq!(drive(&mut halves, &probe), drive(&mut whole, &probe), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn restored_line_buffer_keeps_eviction_invalidations() {
+        // 4 KB, 2-way, 64 sets: 0x0000 / 0x0800 / 0x1000 share set 0, so
+        // the third warm touch evicts 0x0000 from the L1 and its line
+        // buffer copy with it.
+        let cfg = MemConfig::paper_sram(4 << 10, 1, PortModel::Ideal(4)).with_line_buffer();
+        let mut donor = MemSystem::new(cfg.clone()).unwrap();
+        for a in [0x0000u64, 0x0800, 0x1000] {
+            donor.warm_touch(a);
+        }
+        let mut m = MemSystem::new(cfg).unwrap();
+        m.restore_warm(&donor.save_warm(WarmLevel::L1));
+        m.restore_warm(&donor.save_warm(WarmLevel::L2));
+        m.begin_cycle(10);
+        assert!(matches!(m.try_load(0x1008), LoadResponse::LineBufferHit { .. }));
+        // Evicted from both: an L1 miss that hits the warmed L2.
+        assert_eq!(m.try_load(0x0008), LoadResponse::Miss { complete_at: 21 });
+        m.end_cycle();
+    }
+
+    #[test]
+    fn snapshots_fit_by_geometry_only() {
+        let m = MemSystem::new(MemConfig::paper_sram(32 << 10, 1, PortModel::Duplicate)).unwrap();
+        let (l1, l2) = (m.save_warm(WarmLevel::L1), m.save_warm(WarmLevel::L2));
+        assert_eq!((l1.level(), l2.level()), (WarmLevel::L1, WarmLevel::L2));
+        let other_timing = MemConfig::paper_sram(32 << 10, 3, PortModel::Banked(8))
+            .with_l2_hit_cycles(20)
+            .with_mem_latency(90);
+        assert!(l1.fits(&other_timing) && l2.fits(&other_timing));
+        let other_size = MemConfig::paper_sram(16 << 10, 1, PortModel::Duplicate);
+        assert!(!l1.fits(&other_size) && l2.fits(&other_size));
+        let with_lb = MemConfig::paper_sram(32 << 10, 1, PortModel::Duplicate).with_line_buffer();
+        assert!(!l1.fits(&with_lb), "a line buffer changes the L1 half's geometry");
+        let dram = MemConfig::paper_dram(6);
+        assert!(!l1.fits(&dram) && !l2.fits(&dram), "512-byte rows and lines");
+    }
+
+    #[test]
+    #[should_panic(expected = "warm state of another L1 geometry")]
+    fn restore_rejects_another_l1_geometry() {
+        let donor = system(PortModel::Duplicate, 1, false);
+        let mut m = system(PortModel::Duplicate, 1, true);
+        m.restore_warm(&donor.save_warm(WarmLevel::L1));
+    }
+
+    #[test]
+    #[should_panic(expected = "warm state of another L2 geometry")]
+    fn restore_rejects_another_l2_geometry() {
+        let donor = MemSystem::new(MemConfig::paper_dram(6)).unwrap();
+        let mut m = system(PortModel::Duplicate, 1, false);
+        m.restore_warm(&donor.save_warm(WarmLevel::L2));
     }
 
     #[test]

@@ -35,7 +35,7 @@ mod store_buffer;
 pub use bus::Bus;
 pub use cache::{CacheArray, TouchResult};
 pub use config::{ConfigError, L1Config, LineBufferConfig, MemConfig, PortModel, SecondLevel};
-pub use hierarchy::{LoadResponse, MemSystem, RejectReason};
+pub use hierarchy::{LoadResponse, MemSystem, RejectReason, WarmLevel, WarmState};
 pub use line_buffer::LineBuffer;
 pub use mshr::{MshrFile, MshrFullError};
 pub use ports::{PortDenied, PortTracker};

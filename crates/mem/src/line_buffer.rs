@@ -20,7 +20,7 @@ use hbc_probe::saturating_count;
 /// lb.fill(0x400);
 /// assert!(lb.probe(0x41f)); // same 32-byte line
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineBuffer {
     entries: usize,
     line_bytes: u64,
@@ -48,6 +48,11 @@ impl LineBuffer {
     /// Capacity in entries.
     pub fn entries(&self) -> usize {
         self.entries
+    }
+
+    /// Entry size in bytes.
+    pub(crate) fn line_bytes(&self) -> u64 {
+        self.line_bytes
     }
 
     /// Looks up `addr`; on a hit refreshes LRU and returns `true`.
@@ -126,12 +131,6 @@ impl LineBuffer {
     #[cfg(feature = "sanitize")]
     pub(crate) fn resident_lines(&self) -> impl Iterator<Item = u64> + '_ {
         self.lines.iter().copied()
-    }
-
-    /// Sanitizer: entry size in bytes.
-    #[cfg(feature = "sanitize")]
-    pub(crate) fn line_bytes(&self) -> u64 {
-        self.line_bytes
     }
 
     /// Sanitizer: panics if occupancy exceeds capacity or lines duplicate.

@@ -8,7 +8,7 @@
 //! If a legitimate modelling change shifts the figures, regenerate the
 //! constants with the command in the failure message.
 
-use hbcache::core::experiments::{fig3, fig6, ExpParams};
+use hbcache::core::experiments::{fig3, fig6, fig7, fig8, ExpParams};
 use hbcache::core::Benchmark;
 
 /// FNV-1a over the CSV bytes; dependency-free and stable across platforms.
@@ -55,8 +55,38 @@ fn fig6_csv_is_bit_identical() {
     );
 }
 
+/// Figure 7 switches the second level to the on-chip DRAM cache and its
+/// 512-byte row-buffer L1, with and without the line buffer.
+#[test]
+fn fig7_csv_is_bit_identical() {
+    let csv = fig7::run(&golden_params()).to_csv();
+    assert_eq!(
+        fnv1a(&csv),
+        FIG7_HASH,
+        "fig7 CSV drifted; if the change is intentional, update FIG7_HASH in {} \
+         (actual hash of:\n{csv})",
+        file!()
+    );
+}
+
+/// Figure 8 runs a DRAM-cache cell and then sweeps SRAM L1 sizes across
+/// several port/hit-time series inside one benchmark.
+#[test]
+fn fig8_csv_is_bit_identical() {
+    let csv = fig8::run(&golden_params()).to_csv();
+    assert_eq!(
+        fnv1a(&csv),
+        FIG8_HASH,
+        "fig8 CSV drifted; if the change is intentional, update FIG8_HASH in {} \
+         (actual hash of:\n{csv})",
+        file!()
+    );
+}
+
 // Checked-in golden hashes. Regenerate by running these tests and copying
 // the hashes printed in the failure message:
 //   cargo test --test golden_figures -- --nocapture
 const FIG3_HASH: u64 = 11038098731853009402;
 const FIG6_HASH: u64 = 1898047440568716518;
+const FIG7_HASH: u64 = 11657777887182537203;
+const FIG8_HASH: u64 = 7645899131930201708;
