@@ -21,7 +21,6 @@
 //! `health`, `stats`, and `drain` are one-shot wire clients for scripts
 //! and CI.
 
-use std::net::TcpStream;
 use std::time::Duration;
 
 use hbc_cluster::coordinator::{Coordinator, CoordinatorConfig};
@@ -147,8 +146,8 @@ fn wire_op(args: &[String], op: &str) {
         "stats" => Msg::Stats,
         _ => Msg::Drain,
     };
-    let reply =
-        exchange(&addr, &msg).unwrap_or_else(|e| fail(&format!("{op} against {addr} failed: {e}")));
+    let reply = wire::exchange(&addr, &msg, Duration::from_secs(5))
+        .unwrap_or_else(|e| fail(&format!("{op} against {addr} failed: {e}")));
     match reply {
         Msg::HealthOk { worker_id, draining } => {
             println!("worker {worker_id}: {}", if draining { "draining" } else { "healthy" });
@@ -164,17 +163,6 @@ fn wire_op(args: &[String], op: &str) {
         Msg::DrainOk { worker_id } => println!("worker {worker_id}: draining"),
         other => fail(&format!("{op} against {addr}: unexpected reply {other:?}")),
     }
-}
-
-fn exchange(addr: &str, msg: &Msg) -> Result<Msg, String> {
-    let parsed: std::net::SocketAddr = addr.parse().map_err(|_| format!("bad address `{addr}`"))?;
-    let budget = Duration::from_secs(5);
-    let mut stream =
-        TcpStream::connect_timeout(&parsed, budget).map_err(|e| format!("connect: {e}"))?;
-    stream.set_read_timeout(Some(budget)).map_err(|e| e.to_string())?;
-    stream.set_write_timeout(Some(budget)).map_err(|e| e.to_string())?;
-    wire::write_msg(&mut stream, msg).map_err(|e| e.to_string())?;
-    wire::read_msg(&mut stream).map_err(|e| e.to_string())
 }
 
 fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {

@@ -1,14 +1,14 @@
-//! The cluster coordinator: an HTTP front door speaking the exact
-//! `hbc-serve` API, fanning out to worker processes over the binary wire
-//! protocol.
+//! The cluster coordinator: the `hbc-serve` HTTP front end
+//! ([`hbc_serve::front`]) over a remote backend that fans out to worker
+//! processes over the binary wire protocol.
 //!
 //! ```text
-//!            accept          bounded queue           handler pool
-//!  clients ─────────▶ acceptor ─────────────▶ handlers ── route ──▶ worker (wire)
-//!                        │ queue full / draining          │ transport failure
-//!                        ▼                                ▼
-//!                   429 / 503                    mark unhealthy, failover
-//!                                                to the next candidate
+//!            front end (accept, queue, handlers)      remote backend
+//!  clients ───────────────────────────────────▶ POST /run ── route ──▶ worker (wire)
+//!                                                              │ transport failure
+//!                                                              ▼
+//!                                                  mark unhealthy, failover
+//!                                                  to the next candidate
 //! ```
 //!
 //! Routing is rendezvous hashing ([`crate::ring`]) on the canonical spec
@@ -29,29 +29,30 @@
 //! * **Exhausted candidates** answer `502`; a blown deadline answers
 //!   `504`, mirroring `hbc-serve`.
 //!
-//! Graceful drain (`POST /shutdown` or [`CoordinatorHandle::shutdown`]):
-//! queued and in-flight requests finish and answer; *new* connections get
-//! an immediate `503` until [`Coordinator::join`] completes. Workers are
-//! left running — they are separate processes with their own drain.
+//! Admission, deadlines and drain are the shared front end's:
+//! `POST /shutdown` (or [`CoordinatorHandle::shutdown`]) lets queued and
+//! in-flight requests finish while *new* connections get an immediate
+//! `503` until [`Coordinator::join`] completes. Workers are left running
+//! — they are separate processes with their own drain.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hbc_probe::Histogram;
-use hbc_serve::http::{self, HttpError, Request};
+use hbc_serve::front::{Backend, Front, FrontConfig, FrontHandle, Responder};
 use hbc_serve::json::Json;
-use hbc_serve::metrics::AtomicCounter;
+use hbc_serve::lock;
+use hbc_serve::metrics::{family, summary, write_stages, AtomicCounter, Metrics};
 use hbc_serve::spans::ServeSpans;
-use hbc_serve::spec::{ExperimentId, Preset, RunRequest};
+use hbc_serve::spec::RunRequest;
 
-use crate::lock;
 use crate::ring;
-use crate::wire::{self, Msg, TraceCtx, WireError};
+use crate::wire::{self, Msg, TraceCtx};
 
 /// Coordinator construction parameters.
 #[derive(Debug, Clone)]
@@ -152,81 +153,58 @@ impl Target {
     }
 }
 
-/// Coordinator-wide counters (the `GET /metrics` families without a
-/// `worker` label).
+/// Coordinator-only counters; requests, responses by status and the
+/// queue gauges are the front end's [`Metrics`].
 #[derive(Debug, Default)]
 struct ClusterMetrics {
-    requests: AtomicCounter,
-    responses_ok: AtomicCounter,
-    responses_bad_request: AtomicCounter,
-    responses_not_found: AtomicCounter,
-    responses_rejected: AtomicCounter,
-    responses_error: AtomicCounter,
-    responses_bad_gateway: AtomicCounter,
-    responses_unavailable: AtomicCounter,
-    responses_timeout: AtomicCounter,
     failovers: AtomicCounter,
     retries_exhausted: AtomicCounter,
-    queue_depth: AtomicU64,
-    queue_peak: AtomicU64,
+    responses_bad_gateway: AtomicCounter,
 }
 
-impl ClusterMetrics {
-    fn queue_push(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    fn queue_pop(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// One accepted connection waiting for a handler.
-struct QueuedConn {
-    stream: TcpStream,
-    accepted: Instant,
-    request_id: u64,
-    queued_us: u64,
-}
-
-/// State shared by the acceptor, the handlers, the prober, and handles.
-struct Shared {
-    addr: SocketAddr,
+/// The remote backend: rendezvous plan, windowed forward with failover,
+/// the health prober's state, and the coordinator-only endpoints
+/// (`GET /cluster`, `GET /trace?federated=1`).
+struct RemoteBackend {
     targets: Vec<Target>,
     worker_names: Vec<String>,
     window: usize,
-    request_timeout: Duration,
     wire_timeout: Duration,
     probe_interval: Duration,
     metrics: ClusterMetrics,
-    spans: ServeSpans,
-    queue: Mutex<VecDeque<QueuedConn>>,
-    queue_cv: Condvar,
-    queue_capacity: usize,
-    /// Draining: handlers finish the queue, the acceptor answers `503`.
-    draining: AtomicBool,
-    /// Fully stopped: the acceptor exits (set by `join`).
-    stopped: AtomicBool,
-    /// Prober pacing/wakeup (paired with `draining`).
+    /// Prober pacing/wakeup on drain.
     probe_mu: Mutex<()>,
     probe_cv: Condvar,
 }
 
-/// A running coordinator. Lifecycle: [`Coordinator::bind`] → clients →
+impl RemoteBackend {
+    fn new(config: &CoordinatorConfig) -> Self {
+        RemoteBackend {
+            targets: config.workers.iter().cloned().map(Target::new).collect(),
+            worker_names: config.workers.clone(),
+            window: config.window.max(1),
+            wire_timeout: config.wire_timeout,
+            probe_interval: config.probe_interval,
+            metrics: ClusterMetrics::default(),
+            probe_mu: Mutex::new(()),
+            probe_cv: Condvar::new(),
+        }
+    }
+}
+
+/// A running coordinator: the shared front end over the remote backend,
+/// plus the health prober. Lifecycle: [`Coordinator::bind`] → clients →
 /// `POST /shutdown` (or [`CoordinatorHandle::shutdown`]) →
 /// [`Coordinator::join`].
 pub struct Coordinator {
-    shared: Arc<Shared>,
-    acceptor: JoinHandle<()>,
-    handlers: Vec<JoinHandle<()>>,
+    front: Front<RemoteBackend>,
     prober: JoinHandle<()>,
 }
 
 /// A cloneable reference to a running coordinator.
 #[derive(Clone)]
 pub struct CoordinatorHandle {
-    shared: Arc<Shared>,
+    front: FrontHandle<RemoteBackend>,
 }
 
 impl Coordinator {
@@ -239,81 +217,40 @@ impl Coordinator {
                 "a coordinator needs at least one worker address",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let worker_names = config.workers.clone();
-        let targets = config.workers.into_iter().map(Target::new).collect();
-        let shared = Arc::new(Shared {
-            addr,
-            targets,
-            worker_names,
-            window: config.window.max(1),
-            request_timeout: config.request_timeout,
-            wire_timeout: config.wire_timeout,
-            probe_interval: config.probe_interval,
-            metrics: ClusterMetrics::default(),
-            spans: ServeSpans::new(config.span_capacity),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+        let backend = RemoteBackend::new(&config);
+        let front = FrontConfig {
+            addr: config.addr,
+            handlers: config.handlers,
             queue_capacity: config.queue_capacity,
-            draining: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
-            probe_mu: Mutex::new(()),
-            probe_cv: Condvar::new(),
-        });
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("hbc-cluster-acceptor".to_string())
-                .spawn(move || accept_loop(&shared, &listener))?
+            request_timeout: config.request_timeout,
         };
-        let mut handlers = Vec::with_capacity(config.handlers);
-        for i in 0..config.handlers {
-            let shared = Arc::clone(&shared);
-            handlers.push(
-                std::thread::Builder::new()
-                    .name(format!("hbc-cluster-handler-{i}"))
-                    .spawn(move || handler_loop(&shared))?,
-            );
-        }
+        let spans = Arc::new(ServeSpans::new(config.span_capacity));
+        let front = Front::start(front, backend, Arc::default(), spans)?;
         let prober = {
-            let shared = Arc::clone(&shared);
+            let handle = front.handle();
             std::thread::Builder::new()
                 .name("hbc-cluster-prober".to_string())
-                .spawn(move || probe_loop(&shared))?
+                .spawn(move || probe_loop(&handle))?
         };
-        Ok(Coordinator { shared, acceptor, handlers, prober })
+        Ok(Coordinator { front, prober })
     }
 
     /// The bound address (the real port even when `addr` asked for `:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.front.addr()
     }
 
     /// A handle for shutdown and inspection.
     pub fn handle(&self) -> CoordinatorHandle {
-        CoordinatorHandle { shared: Arc::clone(&self.shared) }
+        CoordinatorHandle { front: self.front.handle() }
     }
 
     /// Blocks until drain completes: handlers finish queued and in-flight
-    /// requests, then the acceptor (which answered `503` meanwhile) exits.
+    /// requests, then the acceptor (which answered `503` meanwhile) and
+    /// the prober exit.
     pub fn join(self) {
-        for handler in self.handlers {
-            let _ = handler.join();
-        }
-        // Handlers are gone; flip the acceptor from 503-mode to exit.
-        self.shared.stopped.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect_timeout(&self.shared.addr, Duration::from_secs(1));
-        let _ = self.acceptor.join();
+        self.front.join();
         let _ = self.prober.join();
-        // With zero handlers configured, connections may still be queued.
-        let leftovers: Vec<QueuedConn> = lock(&self.shared.queue).drain(..).collect();
-        for conn in leftovers {
-            self.shared.metrics.queue_pop();
-            self.shared.metrics.responses_unavailable.inc();
-            respond_without_reading(conn.stream, 503, "coordinator is shutting down");
-        }
     }
 }
 
@@ -321,308 +258,115 @@ impl CoordinatorHandle {
     /// Requests graceful drain: in-flight and queued requests finish, new
     /// connections get `503`.
     pub fn shutdown(&self) {
-        initiate_drain(&self.shared);
+        self.front.shutdown();
+    }
+
+    /// The live front-end metrics (requests, responses by status, queue).
+    pub fn metrics(&self) -> Arc<Metrics> {
+        self.front.metrics()
     }
 
     /// Health flags by worker address, in configured order.
     pub fn worker_health(&self) -> Vec<(String, bool)> {
-        self.shared
-            .targets
-            .iter()
-            .map(|t| (t.addr.clone(), t.healthy.load(Ordering::SeqCst)))
-            .collect()
+        let targets = &self.front.backend().targets;
+        targets.iter().map(|t| (t.addr.clone(), t.healthy.load(Ordering::SeqCst))).collect()
     }
 
     /// Total requests forwarded to workers (all attempts that got an
     /// answer).
     pub fn forwarded(&self) -> u64 {
-        self.shared.targets.iter().map(|t| t.forwarded.get()).sum()
+        self.front.backend().targets.iter().map(|t| t.forwarded.get()).sum()
     }
 
     /// Failovers: attempts abandoned on one worker and retried on the
     /// next rendezvous candidate.
     pub fn failovers(&self) -> u64 {
-        self.shared.metrics.failovers.get()
-    }
-}
-
-fn initiate_drain(shared: &Shared) {
-    if shared.draining.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    shared.queue_cv.notify_all();
-    shared.probe_cv.notify_all();
-}
-
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    for stream in listener.incoming() {
-        if shared.stopped.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        if shared.draining.load(Ordering::SeqCst) {
-            shared.metrics.responses_unavailable.inc();
-            respond_without_reading(stream, 503, "coordinator is draining");
-            continue;
-        }
-        let accept_start_us = shared.spans.now_us();
-        let mut queue = lock(&shared.queue);
-        if queue.len() >= shared.queue_capacity {
-            drop(queue);
-            shared.metrics.responses_rejected.inc();
-            respond_without_reading(stream, 429, "admission queue is full, retry later");
-            continue;
-        }
-        let request_id = shared.spans.begin_request();
-        let queued_us = shared.spans.now_us();
-        queue.push_back(QueuedConn { stream, accepted: Instant::now(), request_id, queued_us });
-        shared.metrics.queue_push();
-        drop(queue);
-        shared.spans.record_at("serve.accept", request_id, 0, accept_start_us, queued_us);
-        shared.queue_cv.notify_one();
-    }
-}
-
-/// Writes an error response to a connection whose request was never read
-/// (admission rejection, drain), then sinks the unread request bytes so
-/// closing the socket does not RST the response away.
-fn respond_without_reading(mut stream: TcpStream, status: u16, message: &str) {
-    let short = Duration::from_millis(500);
-    let _ = stream.set_write_timeout(Some(short));
-    let _ = stream.set_read_timeout(Some(short));
-    let body = error_body(status, message);
-    if http::write_response(&mut stream, status, "application/json", &[], body.as_bytes()).is_ok() {
-        use std::io::Read as _;
-        let mut sink = [0u8; 512];
-        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
-    }
-}
-
-fn handler_loop(shared: &Arc<Shared>) {
-    loop {
-        let conn = {
-            let mut queue = lock(&shared.queue);
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    shared.metrics.queue_pop();
-                    break Some(conn);
-                }
-                if shared.draining.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = match shared.queue_cv.wait(queue) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        };
-        match conn {
-            Some(conn) => handle_conn(shared, conn),
-            None => return,
-        }
+        self.front.backend().metrics.failovers.get()
     }
 }
 
 /// Background health prober: one `Health` frame per worker per period.
 /// A worker that answers (and is not itself draining) is revived; one
 /// that refuses or stalls is demoted.
-fn probe_loop(shared: &Arc<Shared>) {
-    let timeout = shared.wire_timeout.min(Duration::from_secs(2));
+fn probe_loop(handle: &FrontHandle<RemoteBackend>) {
+    let backend = handle.backend();
+    let timeout = backend.wire_timeout.min(Duration::from_secs(2));
     loop {
-        if shared.draining.load(Ordering::SeqCst) {
+        if handle.is_draining() {
             return;
         }
-        for target in &shared.targets {
+        for target in &backend.targets {
             let alive = matches!(
-                forward(&target.addr, &Msg::Health, timeout),
+                wire::exchange(&target.addr, &Msg::Health, timeout),
                 Ok(Msg::HealthOk { draining: false, .. })
             );
             target.healthy.store(alive, Ordering::SeqCst);
         }
-        let guard = lock(&shared.probe_mu);
-        if shared.draining.load(Ordering::SeqCst) {
+        let guard = lock(&backend.probe_mu);
+        if handle.is_draining() {
             return;
         }
-        drop(match shared.probe_cv.wait_timeout(guard, shared.probe_interval) {
+        drop(match backend.probe_cv.wait_timeout(guard, backend.probe_interval) {
             Ok((guard, _)) => guard,
             Err(poisoned) => poisoned.into_inner().0,
         });
     }
 }
 
-/// One one-shot wire exchange: connect, send `msg`, read the reply. The
-/// whole exchange shares one `budget`.
-fn forward(addr: &str, msg: &Msg, budget: Duration) -> Result<Msg, WireError> {
-    let parsed: SocketAddr = addr
-        .parse()
-        .map_err(|_| WireError::Io(io::Error::new(io::ErrorKind::InvalidInput, "bad address")))?;
-    let mut stream = TcpStream::connect_timeout(&parsed, budget)?;
-    stream.set_read_timeout(Some(budget))?;
-    stream.set_write_timeout(Some(budget))?;
-    wire::write_msg(&mut stream, msg)?;
-    wire::read_msg(&mut stream)
-}
+impl Backend for RemoteBackend {
+    const ROLE: &'static str = "coordinator";
+    const PATHS: &'static [&'static str] = &["/cluster"];
 
-/// JSON error envelope: `{"error":…,"status":…}` — same shape as
-/// `hbc-serve`.
-fn error_body(status: u16, message: &str) -> String {
-    let mut obj = BTreeMap::new();
-    obj.insert("error".to_string(), Json::Str(message.to_string()));
-    obj.insert("status".to_string(), Json::U64(u64::from(status)));
-    Json::Obj(obj).render()
-}
-
-/// Per-request context threaded from accept to response. Unlike the
-/// single-node server, end-to-end latency lives per worker (recorded
-/// around each forward), so only the span-trace request ID rides along.
-#[derive(Clone, Copy)]
-struct ReqCtx {
-    request_id: u64,
-}
-
-/// One response, with metrics accounting by status and spans for the
-/// serialize and write stages.
-fn respond(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    ctx: ReqCtx,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) {
-    let m = &shared.metrics;
-    match status {
-        200 => m.responses_ok.inc(),
-        400 | 405 => m.responses_bad_request.inc(),
-        404 => m.responses_not_found.inc(),
-        429 => m.responses_rejected.inc(),
-        502 => m.responses_bad_gateway.inc(),
-        503 => m.responses_unavailable.inc(),
-        504 => m.responses_timeout.inc(),
-        _ => m.responses_error.inc(),
+    fn run(&self, out: &mut Responder<'_, Self>, body: &[u8]) {
+        handle_run(self, out, body);
     }
-    let serialize_start_us = shared.spans.now_us();
-    let bytes = http::render_response(status, content_type, extra_headers, body);
-    let write_start_us = shared.spans.now_us();
-    shared.spans.record_at(
-        "serve.serialize",
-        ctx.request_id,
-        0,
-        serialize_start_us,
-        write_start_us,
-    );
-    use std::io::Write as _;
-    let _ = stream.write_all(&bytes).and_then(|()| stream.flush());
-    shared.spans.record_at("serve.write", ctx.request_id, 0, write_start_us, shared.spans.now_us());
-}
 
-fn respond_error(shared: &Shared, stream: &mut TcpStream, ctx: ReqCtx, status: u16, message: &str) {
-    let body = error_body(status, message);
-    respond(shared, stream, ctx, status, "application/json", &[], body.as_bytes());
-}
-
-fn handle_conn(shared: &Arc<Shared>, conn: QueuedConn) {
-    let QueuedConn { mut stream, accepted, request_id, queued_us } = conn;
-    let ctx = ReqCtx { request_id };
-    shared.spans.record_at("serve.queue_wait", request_id, 0, queued_us, shared.spans.now_us());
-    let deadline = accepted + shared.request_timeout;
-    let now = Instant::now();
-    if now >= deadline {
-        shared.metrics.requests.inc();
-        respond_error(shared, &mut stream, ctx, 504, "request timed out in queue");
-        return;
+    fn prometheus(&self, front: &Metrics, spans: &ServeSpans) -> String {
+        render_prometheus(self, front, spans)
     }
-    let io_budget = (deadline - now).min(Duration::from_secs(10));
-    let _ = stream.set_read_timeout(Some(io_budget));
-    let _ = stream.set_write_timeout(Some(io_budget));
 
-    let parse_start_us = shared.spans.now_us();
-    let parsed = http::read_request(&mut stream);
-    shared.spans.record_at("serve.parse", request_id, 0, parse_start_us, shared.spans.now_us());
-    let request = match parsed {
-        Ok(request) => request,
-        Err(HttpError::Closed | HttpError::Io(_)) => return,
-        Err(err @ (HttpError::Malformed(_) | HttpError::TooLarge(_))) => {
-            shared.metrics.requests.inc();
-            respond_error(shared, &mut stream, ctx, 400, &err.to_string());
-            return;
-        }
-    };
-    shared.metrics.requests.inc();
-
-    // `Request.path` carries the query string verbatim; split it off so
-    // `/trace?federated=1` routes to the trace endpoint. Every response
-    // for a bare path is byte-identical to before.
-    let (path, query) = match request.path.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (request.path.as_str(), ""),
-    };
-    match (request.method.as_str(), path) {
-        ("POST", "/run") => handle_run(shared, &mut stream, ctx, deadline, &request),
-        ("GET", "/metrics") => {
-            let body = render_prometheus(shared);
-            let ct = "text/plain; version=0.0.4";
-            respond(shared, &mut stream, ctx, 200, ct, &[], body.as_bytes());
-        }
-        ("GET", "/cluster") => {
-            let body = cluster_body(shared);
-            respond(shared, &mut stream, ctx, 200, "application/json", &[], body.as_bytes());
-        }
-        ("GET", "/trace") => {
-            let body = if query.split('&').any(|pair| pair == "federated=1") {
-                federated_trace_body(shared)
-            } else {
-                shared.spans.to_jsonl()
-            };
-            respond(shared, &mut stream, ctx, 200, "application/x-ndjson", &[], body.as_bytes());
-        }
-        ("GET", "/healthz") => {
-            respond(shared, &mut stream, ctx, 200, "text/plain", &[], b"ok\n");
-        }
-        ("GET", "/experiments") => {
-            let body = experiments_body();
-            respond(shared, &mut stream, ctx, 200, "application/json", &[], body.as_bytes());
-        }
-        ("POST", "/shutdown") => {
-            respond(shared, &mut stream, ctx, 200, "text/plain", &[], b"draining\n");
-            initiate_drain(shared);
-        }
-        (
-            _,
-            "/run" | "/metrics" | "/cluster" | "/trace" | "/healthz" | "/experiments" | "/shutdown",
-        ) => {
-            respond_error(shared, &mut stream, ctx, 405, "method not allowed");
-        }
-        _ => respond_error(shared, &mut stream, ctx, 404, "no such endpoint"),
+    fn route(&self, out: &mut Responder<'_, Self>, method: &str, path: &str, query: &str) -> bool {
+        let body = match (method, path) {
+            ("GET", "/cluster") => cluster_body(self, out.is_draining()),
+            ("GET", "/trace") if query.split('&').any(|pair| pair == "federated=1") => {
+                federated_trace_body(self, out.spans())
+            }
+            _ => return false,
+        };
+        let content_type =
+            if path == "/cluster" { "application/json" } else { "application/x-ndjson" };
+        out.respond(200, content_type, &[], body.as_bytes());
+        true
     }
-}
 
-/// `GET /experiments`: same body as `hbc-serve` — the coordinator is a
-/// drop-in front door.
-fn experiments_body() -> String {
-    let experiments = ExperimentId::ALL.map(|id| Json::Str(id.name().to_string())).to_vec();
-    let presets = [Preset::Fast, Preset::Standard, Preset::Full]
-        .map(|p| Json::Str(p.name().to_string()))
-        .to_vec();
-    let mut obj = BTreeMap::new();
-    obj.insert("experiments".to_string(), Json::Arr(experiments));
-    obj.insert("presets".to_string(), Json::Arr(presets));
-    Json::Obj(obj).render()
+    fn count_status(&self, status: u16) -> bool {
+        if status == 502 {
+            self.metrics.responses_bad_gateway.inc();
+        }
+        status == 502
+    }
+
+    fn on_drain(&self) {
+        // Taken so a prober between its drain check and its wait cannot
+        // miss the wakeup.
+        drop(lock(&self.probe_mu));
+        self.probe_cv.notify_all();
+    }
 }
 
 /// `GET /cluster`: topology and live per-worker stats (best-effort wire
 /// `Stats` probes with a short budget).
-fn cluster_body(shared: &Shared) -> String {
-    let stats_budget = shared.wire_timeout.min(Duration::from_secs(2));
+fn cluster_body(backend: &RemoteBackend, draining: bool) -> String {
+    let stats_budget = backend.wire_timeout.min(Duration::from_secs(2));
     let mut workers = Vec::new();
-    for target in &shared.targets {
+    for target in &backend.targets {
         let mut obj = BTreeMap::new();
         obj.insert("addr".to_string(), Json::Str(target.addr.clone()));
         obj.insert("healthy".to_string(), Json::Bool(target.healthy.load(Ordering::SeqCst)));
         obj.insert("forwarded".to_string(), Json::U64(target.forwarded.get()));
         obj.insert("failures".to_string(), Json::U64(target.failures.get()));
-        if let Ok(Msg::StatsOk { pairs }) = forward(&target.addr, &Msg::Stats, stats_budget) {
+        if let Ok(Msg::StatsOk { pairs }) = wire::exchange(&target.addr, &Msg::Stats, stats_budget)
+        {
             let mut stats = BTreeMap::new();
             for (name, value) in pairs {
                 stats.insert(name, Json::U64(value));
@@ -632,8 +376,8 @@ fn cluster_body(shared: &Shared) -> String {
         workers.push(Json::Obj(obj));
     }
     let mut obj = BTreeMap::new();
-    obj.insert("draining".to_string(), Json::Bool(shared.draining.load(Ordering::SeqCst)));
-    obj.insert("failovers".to_string(), Json::U64(shared.metrics.failovers.get()));
+    obj.insert("draining".to_string(), Json::Bool(draining));
+    obj.insert("failovers".to_string(), Json::U64(backend.metrics.failovers.get()));
     obj.insert("workers".to_string(), Json::Arr(workers));
     Json::Obj(obj).render()
 }
@@ -644,21 +388,16 @@ fn cluster_body(shared: &Shared) -> String {
 /// accounting (`{"trace_meta":1,"node":…,"dropped":…,"retained":…}`), so
 /// a truncated ring is visible in the merge instead of silently reading
 /// as a complete trace. The bare `GET /trace` body is unchanged.
-fn federated_trace_body(shared: &Shared) -> String {
-    let trace_budget = shared.wire_timeout.min(Duration::from_secs(2));
+fn federated_trace_body(backend: &RemoteBackend, spans: &ServeSpans) -> String {
+    let trace_budget = backend.wire_timeout.min(Duration::from_secs(2));
     let mut out = String::new();
-    push_trace_source(
-        &mut out,
-        "coordinator",
-        shared.spans.log().dropped(),
-        &shared.spans.to_jsonl(),
-    );
-    for target in &shared.targets {
+    push_trace_source(&mut out, "coordinator", spans.log().dropped(), &spans.to_jsonl());
+    for target in &backend.targets {
         if !target.healthy.load(Ordering::SeqCst) {
             continue;
         }
         if let Ok(Msg::TraceOk { worker_id, dropped, jsonl }) =
-            forward(&target.addr, &Msg::Trace, trace_budget)
+            wire::exchange(&target.addr, &Msg::Trace, trace_budget)
         {
             push_trace_source(&mut out, &worker_id, dropped, &jsonl);
         }
@@ -666,30 +405,11 @@ fn federated_trace_body(shared: &Shared) -> String {
     out
 }
 
-fn push_trace_source(out: &mut String, node: &str, dropped: u64, jsonl: &str) {
-    use std::fmt::Write as _;
-    let retained = jsonl.lines().count();
-    let _ = writeln!(
-        out,
-        "{{\"trace_meta\":1,\"node\":\"{node}\",\"dropped\":{dropped},\"retained\":{retained}}}"
-    );
-    out.push_str(jsonl);
-}
-
 /// Routes and forwards one `POST /run`, with failover.
-fn handle_run(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    ctx: ReqCtx,
-    deadline: Instant,
-    request: &Request,
-) {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            respond_error(shared, stream, ctx, 400, "request body is not UTF-8");
-            return;
-        }
+fn handle_run(backend: &RemoteBackend, out: &mut Responder<'_, RemoteBackend>, body: &[u8]) {
+    let Ok(text) = std::str::from_utf8(body) else {
+        out.error(400, "request body is not UTF-8");
+        return;
     };
     // Validate locally so garbage never costs a forward, and compute the
     // routing hash. The *original* spec text is what gets forwarded — the
@@ -697,60 +417,57 @@ fn handle_run(
     let run = match RunRequest::from_json_text(text) {
         Ok(run) => run,
         Err(err) => {
-            respond_error(shared, stream, ctx, 400, &err.to_string());
+            out.error(400, &err.to_string());
             return;
         }
     };
     let hash = run.spec_hash();
+    let request_id = out.request_id;
+    let deadline = out.deadline;
 
-    let route_start_us = shared.spans.now_us();
-    let order = ring::candidates(&hash, &shared.worker_names);
+    let route_start_us = out.spans().now_us();
+    let order = ring::candidates(&hash, &backend.worker_names);
     // Healthy candidates first (rendezvous order preserved), then the
     // unhealthy rest as a last resort — the prober's view may be stale,
     // and trying a dead worker only costs one fast connect failure.
     let mut plan: Vec<usize> = Vec::with_capacity(order.len());
-    plan.extend(order.iter().filter(|&&i| shared.targets[i].healthy.load(Ordering::SeqCst)));
-    plan.extend(order.iter().filter(|&&i| !shared.targets[i].healthy.load(Ordering::SeqCst)));
-    shared.spans.record_at(
-        "cluster.route",
-        ctx.request_id,
-        0,
-        route_start_us,
-        shared.spans.now_us(),
-    );
+    plan.extend(order.iter().filter(|&&i| backend.targets[i].healthy.load(Ordering::SeqCst)));
+    plan.extend(order.iter().filter(|&&i| !backend.targets[i].healthy.load(Ordering::SeqCst)));
+    let spans = out.spans();
+    spans.record_at("cluster.route", request_id, 0, route_start_us, spans.now_us());
 
     for (attempt, &index) in plan.iter().enumerate() {
-        let target = &shared.targets[index];
-        let now = Instant::now();
-        if now >= deadline {
+        let target = &backend.targets[index];
+        if Instant::now() >= deadline {
             break;
         }
-        if !target.acquire(shared.window, deadline) {
+        if !target.acquire(backend.window, deadline) {
             break; // Window never opened before the deadline.
         }
         if attempt > 0 {
-            shared.metrics.failovers.inc();
+            backend.metrics.failovers.inc();
         }
-        let budget = shared.wire_timeout.min(deadline.saturating_duration_since(Instant::now()));
+        let budget = backend.wire_timeout.min(deadline.saturating_duration_since(Instant::now()));
         // The forward span's ID is allocated before the exchange so it
         // can ride in the wire trace context: the worker records its
         // spans under this request ID, parented on this span, and the
         // federated trace stitches into one tree. Each failover attempt
         // gets its own forward span.
-        let forward_span = shared.spans.alloc_span();
-        let trace = Some(TraceCtx { request: ctx.request_id, parent: forward_span });
-        let forward_start_us = shared.spans.now_us();
+        let spans = out.spans();
+        let forward_span = spans.alloc_span();
+        let trace = Some(TraceCtx { request: request_id, parent: forward_span });
+        let forward_start_us = spans.now_us();
         let forward_start = Instant::now();
         let run_msg = Msg::Run { spec_json: text.to_string(), trace };
-        let outcome = forward(&target.addr, &run_msg, budget);
+        let outcome = wire::exchange(&target.addr, &run_msg, budget);
         let micros = u64::try_from(forward_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        shared.spans.record_linked(
+        spans.record_linked(
             "cluster.forward",
             forward_span,
-            ctx.request_id,
+            request_id,
             0,
             forward_start_us,
-            shared.spans.now_us(),
+            spans.now_us(),
         );
         target.release();
         match outcome {
@@ -767,7 +484,7 @@ fn handle_run(
                     ("X-Spec-Hash", spec_hash.as_str()),
                     ("X-Worker", target.addr.as_str()),
                 ];
-                respond(shared, stream, ctx, 200, "text/plain", &headers, body.as_bytes());
+                out.respond(200, "text/plain", &headers, body.as_bytes());
                 return;
             }
             Ok(Msg::RunErr { status, message }) => {
@@ -776,16 +493,12 @@ fn handle_run(
                 target.forwarded.inc();
                 lock(&target.latency_micros).record(micros);
                 let status = if (400..=599).contains(&status) { status } else { 500 };
-                respond_error(shared, stream, ctx, status, &message);
+                out.error(status, &message);
                 return;
             }
-            Ok(_) => {
-                // A well-framed but nonsensical reply: treat the worker
-                // as broken and fail over.
-                target.failures.inc();
-                target.healthy.store(false, Ordering::SeqCst);
-            }
-            Err(_) => {
+            // A transport failure, or a well-framed but nonsensical
+            // reply: treat the worker as broken and fail over.
+            Ok(_) | Err(_) => {
                 target.failures.inc();
                 target.healthy.store(false, Ordering::SeqCst);
             }
@@ -793,36 +506,20 @@ fn handle_run(
     }
 
     if Instant::now() >= deadline {
-        respond_error(
-            shared,
-            stream,
-            ctx,
-            504,
-            "request deadline passed before any worker answered",
-        );
+        out.error(504, "request deadline passed before any worker answered");
     } else {
-        shared.metrics.retries_exhausted.inc();
-        respond_error(
-            shared,
-            stream,
-            ctx,
-            502,
-            "no worker answered this request; every rendezvous candidate failed",
-        );
+        backend.metrics.retries_exhausted.inc();
+        out.error(502, "no worker answered this request; every rendezvous candidate failed");
     }
 }
 
 /// Renders `GET /metrics` in the Prometheus text exposition format —
 /// accepted by `hbc_serve::metrics::parse_prometheus`, same conventions
 /// as the single-node server.
-fn render_prometheus(shared: &Shared) -> String {
+fn render_prometheus(backend: &RemoteBackend, front: &Metrics, spans: &ServeSpans) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let family = |out: &mut String, name: &str, kind: &str, help: &str| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-    };
-    let m = &shared.metrics;
+    let m = &backend.metrics;
 
     family(
         &mut out,
@@ -830,21 +527,10 @@ fn render_prometheus(shared: &Shared) -> String {
         "counter",
         "HTTP requests that reached a coordinator handler.",
     );
-    let _ = writeln!(out, "cluster_requests_total {}", m.requests.get());
+    let _ = writeln!(out, "cluster_requests_total {}", front.requests.get());
 
-    family(&mut out, "cluster_responses_total", "counter", "Responses by HTTP status code.");
-    for (status, counter) in [
-        ("200", &m.responses_ok),
-        ("400", &m.responses_bad_request),
-        ("404", &m.responses_not_found),
-        ("429", &m.responses_rejected),
-        ("500", &m.responses_error),
-        ("502", &m.responses_bad_gateway),
-        ("503", &m.responses_unavailable),
-        ("504", &m.responses_timeout),
-    ] {
-        let _ = writeln!(out, "cluster_responses_total{{status=\"{status}\"}} {}", counter.get());
-    }
+    let bad_gateway = [("502", m.responses_bad_gateway.get())];
+    front.write_responses(&mut out, "cluster_responses_total", &bad_gateway);
 
     family(
         &mut out,
@@ -852,7 +538,7 @@ fn render_prometheus(shared: &Shared) -> String {
         "counter",
         "Requests answered by each worker (RunOk or RunErr).",
     );
-    for t in &shared.targets {
+    for t in &backend.targets {
         let _ =
             writeln!(out, "cluster_forwarded_total{{worker=\"{}\"}} {}", t.addr, t.forwarded.get());
     }
@@ -863,7 +549,7 @@ fn render_prometheus(shared: &Shared) -> String {
         "counter",
         "Transport failures per worker (connect refused, timeout, severed frame).",
     );
-    for t in &shared.targets {
+    for t in &backend.targets {
         let _ = writeln!(
             out,
             "cluster_worker_failures_total{{worker=\"{}\"}} {}",
@@ -894,7 +580,7 @@ fn render_prometheus(shared: &Shared) -> String {
         "gauge",
         "1 if the worker's last health probe (or forward) succeeded.",
     );
-    for t in &shared.targets {
+    for t in &backend.targets {
         let healthy = u64::from(t.healthy.load(Ordering::SeqCst));
         let _ = writeln!(out, "cluster_worker_healthy{{worker=\"{}\"}} {healthy}", t.addr);
     }
@@ -905,7 +591,7 @@ fn render_prometheus(shared: &Shared) -> String {
         "counter",
         "Worker-reported cache hits by shard and serving tier.",
     );
-    for t in &shared.targets {
+    for t in &backend.targets {
         let _ = writeln!(
             out,
             "cluster_shard_hits_total{{worker=\"{}\",tier=\"memory\"}} {}",
@@ -925,40 +611,20 @@ fn render_prometheus(shared: &Shared) -> String {
         "counter",
         "Worker-reported cache misses (a simulation ran on that shard).",
     );
-    for t in &shared.targets {
+    for t in &backend.targets {
         let _ =
             writeln!(out, "cluster_shard_misses_total{{worker=\"{}\"}} {}", t.addr, t.misses.get());
     }
 
-    family(&mut out, "cluster_queue_depth", "gauge", "Current admission-queue depth.");
-    let _ = writeln!(out, "cluster_queue_depth {}", m.queue_depth.load(Ordering::Relaxed));
-    family(&mut out, "cluster_queue_peak", "gauge", "High-water mark of the admission queue.");
-    let _ = writeln!(out, "cluster_queue_peak {}", m.queue_peak.load(Ordering::Relaxed));
+    front.write_queue(&mut out, "cluster", spans.log().dropped());
 
-    family(
-        &mut out,
-        "hbc_span_dropped_total",
-        "counter",
-        "Spans evicted from the bounded ring before export (a nonzero value means GET /trace is truncated).",
-    );
-    let _ = writeln!(out, "hbc_span_dropped_total {}", shared.spans.log().dropped());
-
-    let summary = |out: &mut String, name: &str, labels: &str, h: &Histogram| {
-        let lead = if labels.is_empty() { String::new() } else { format!("{labels},") };
-        for (q, tag) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-            let _ = writeln!(out, "{name}{{{lead}quantile=\"{tag}\"}} {}", h.quantile(q));
-        }
-        let braced = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
-        let _ = writeln!(out, "{name}_sum{braced} {}", h.sum());
-        let _ = writeln!(out, "{name}_count{braced} {}", h.count());
-    };
     family(
         &mut out,
         "cluster_worker_latency_microseconds",
         "summary",
         "Forward round-trip latency per worker (connect to reply read).",
     );
-    for t in &shared.targets {
+    for t in &backend.targets {
         summary(
             &mut out,
             "cluster_worker_latency_microseconds",
@@ -967,16 +633,23 @@ fn render_prometheus(shared: &Shared) -> String {
         );
     }
 
-    family(
+    write_stages(
         &mut out,
         "cluster_stage_duration_microseconds",
-        "summary",
         "Span duration per coordinator lifecycle stage.",
+        &spans.stage_histograms(),
     );
-    for (stage, h) in &shared.spans.stage_histograms() {
-        summary(&mut out, "cluster_stage_duration_microseconds", &format!("stage=\"{stage}\""), h);
-    }
     out
+}
+
+fn push_trace_source(out: &mut String, node: &str, dropped: u64, jsonl: &str) {
+    use std::fmt::Write as _;
+    let retained = jsonl.lines().count();
+    let _ = writeln!(
+        out,
+        "{{\"trace_meta\":1,\"node\":\"{node}\",\"dropped\":{dropped},\"retained\":{retained}}}"
+    );
+    out.push_str(jsonl);
 }
 
 #[cfg(test)]
@@ -993,40 +666,17 @@ mod tests {
     }
 
     #[test]
-    fn error_bodies_are_valid_json() {
-        let body = error_body(502, "no worker answered");
-        let v = Json::parse(&body).expect("envelope parses");
-        assert_eq!(v.as_obj().unwrap()["status"].as_u64(), Some(502));
-    }
-
-    #[test]
     fn prometheus_rendering_is_strictly_parseable() {
-        let shared = Shared {
-            addr: "127.0.0.1:0".parse().expect("addr"),
-            targets: vec![
-                Target::new("127.0.0.1:9101".to_string()),
-                Target::new("127.0.0.1:9102".to_string()),
-            ],
-            worker_names: vec!["127.0.0.1:9101".to_string(), "127.0.0.1:9102".to_string()],
-            window: 4,
-            request_timeout: Duration::from_secs(1),
-            wire_timeout: Duration::from_secs(1),
-            probe_interval: Duration::from_secs(1),
-            metrics: ClusterMetrics::default(),
-            spans: ServeSpans::new(8),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            queue_capacity: 4,
-            draining: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
-            probe_mu: Mutex::new(()),
-            probe_cv: Condvar::new(),
-        };
-        shared.metrics.requests.inc();
-        shared.targets[0].forwarded.inc();
-        shared.targets[1].healthy.store(false, Ordering::SeqCst);
-        shared.spans.record_at("cluster.route", 1, 0, 0, 5);
-        let text = render_prometheus(&shared);
+        let workers = vec!["127.0.0.1:9101".to_string(), "127.0.0.1:9102".to_string()];
+        let backend = RemoteBackend::new(&CoordinatorConfig { workers, ..Default::default() });
+        let front = Metrics::default();
+        let spans = ServeSpans::new(8);
+        front.requests.inc();
+        backend.targets[0].forwarded.inc();
+        backend.targets[1].healthy.store(false, Ordering::SeqCst);
+        assert!(backend.count_status(502), "502 is the coordinator's own row");
+        spans.record_at("cluster.route", 1, 0, 0, 5);
+        let text = backend.prometheus(&front, &spans);
         let samples = parse_prometheus(&text).expect("strict parse succeeds");
         let healthy: Vec<f64> = samples
             .iter()
@@ -1036,6 +686,9 @@ mod tests {
         assert_eq!(healthy, [1.0, 0.0]);
         assert!(samples.iter().any(|s| s.name == "cluster_forwarded_total"
             && s.label("worker") == Some("127.0.0.1:9101")
+            && s.value == 1.0));
+        assert!(samples.iter().any(|s| s.name == "cluster_responses_total"
+            && s.label("status") == Some("502")
             && s.value == 1.0));
         assert!(
             samples.iter().any(|s| s.name == "hbc_span_dropped_total" && s.value == 0.0),

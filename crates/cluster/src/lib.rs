@@ -9,20 +9,22 @@
 //! * [`wire`] — the length-prefixed binary protocol between coordinator
 //!   and workers: magic, version, frame kind, payload length, and a
 //!   SHA-256-derived checksum, so a truncated or corrupted frame is a
-//!   typed error rather than a misparse;
+//!   typed error rather than a misparse; [`wire::exchange`] is the one
+//!   client call (connect, send, read the reply) every caller uses;
 //! * [`ring`] — rendezvous (highest-random-weight) hashing on the
 //!   canonical spec hash: each spec has a deterministic worker order
 //!   `[primary, first failover, …]` computed from the membership list
 //!   alone, keeping every worker's result-cache shard hot;
-//! * [`worker`] — a TCP server embedding the full `hbc-serve` result
-//!   stack (spec validation, content-addressed cache, simulation
-//!   drivers), serving wire frames; supports graceful drain and an
-//!   abrupt kill for failover tests;
-//! * [`coordinator`] — the HTTP front door speaking the exact
-//!   `hbc-serve` API (`POST /run`, `GET /metrics`, `GET /trace`, …),
-//!   with per-worker health probes, bounded in-flight windows,
-//!   per-request deadlines, and retry-with-failover to the next
-//!   rendezvous candidate.
+//! * [`worker`] — a TCP server answering wire frames through
+//!   `hbc-serve`'s local backend (spec validation, content-addressed
+//!   cache, single-flight, simulation drivers); supports graceful drain
+//!   and an abrupt kill for failover tests;
+//! * [`coordinator`] — `hbc-serve`'s HTTP front end
+//!   ([`hbc_serve::front`]) over a remote backend: the same API
+//!   (`POST /run`, `GET /metrics`, `GET /trace`, …), admission, deadlines
+//!   and drain as `hbc-serve`, plus per-worker health probes, bounded
+//!   in-flight windows, and retry-with-failover to the next rendezvous
+//!   candidate.
 //!
 //! The correctness bar (proved by `tests/cluster_e2e.rs`): a response
 //! fetched through the coordinator is byte-identical to what a direct
@@ -51,18 +53,3 @@ pub mod coordinator;
 pub mod ring;
 pub mod wire;
 pub mod worker;
-
-use std::sync::{Mutex, MutexGuard};
-
-/// Locks a mutex, recovering the guard if a previous holder panicked.
-///
-/// Same rationale as `hbc-serve`: one poisoned lock must not wedge every
-/// later request. Every critical section here (admission queue, in-flight
-/// windows, connection registry, latency histograms) completes its writes
-/// before leaving, so continuing with the inner value is sound.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}

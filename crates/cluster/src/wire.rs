@@ -36,6 +36,8 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 use hbc_serve::hash::sha256;
 
@@ -503,6 +505,19 @@ pub fn read_msg(stream: &mut impl Read) -> Result<Msg, WireError> {
         return Err(WireError::BadChecksum { got, want });
     }
     decode_payload(kind, &payload)
+}
+
+/// One one-shot exchange with a peer at `addr`: connect, send `msg`,
+/// read the reply. Connect, write and read each get `budget`.
+pub fn exchange(addr: &str, msg: &Msg, budget: Duration) -> Result<Msg, WireError> {
+    let parsed: SocketAddr = addr.parse().map_err(|_| {
+        WireError::Io(io::Error::new(io::ErrorKind::InvalidInput, format!("bad address `{addr}`")))
+    })?;
+    let mut stream = TcpStream::connect_timeout(&parsed, budget)?;
+    stream.set_read_timeout(Some(budget))?;
+    stream.set_write_timeout(Some(budget))?;
+    write_msg(&mut stream, msg)?;
+    read_msg(&mut stream)
 }
 
 #[cfg(test)]

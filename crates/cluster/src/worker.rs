@@ -5,10 +5,12 @@
 //! One thread per connection; each connection serves frames sequentially
 //! until the peer closes (the coordinator opens one connection per
 //! forwarded request, so the bounded in-flight window lives on the
-//! coordinator side). A `Run` frame answers exactly the bytes a direct
-//! `hbc-serve` hit would: cache lookup by canonical spec hash first,
-//! then a real simulation guarded by `catch_unwind`, persisted into the
-//! shard's cache directory.
+//! coordinator side). A `Run` frame goes through `hbc-serve`'s local
+//! backend ([`hbc_serve::server::LocalBackend`]) and answers exactly the
+//! bytes a direct `hbc-serve` would: cache lookup by canonical spec hash
+//! first, then a simulation guarded by `catch_unwind` and persisted into
+//! the shard's cache directory. Concurrent identical frames coalesce onto
+//! one simulation (`cache: "coalesced"` in the reply).
 //!
 //! Graceful drain (a `Drain` frame or [`WorkerHandle::drain`]) stops the
 //! acceptor, half-closes every connection's read side so idle handlers
@@ -20,18 +22,18 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use hbc_serve::cache::{ResultCache, Tier};
+use hbc_serve::cache::ResultCache;
+use hbc_serve::lock;
+use hbc_serve::metrics::AtomicCounter;
+use hbc_serve::server::{LocalBackend, Outcome};
 use hbc_serve::spans::ServeSpans;
-use hbc_serve::spec::RunRequest;
 
-use crate::lock;
-use crate::wire::{self, Msg, TraceCtx, WireError};
+use crate::wire::{self, Msg, WireError};
 
 /// Worker construction parameters.
 #[derive(Debug, Clone)]
@@ -65,22 +67,19 @@ impl Default for WorkerConfig {
     }
 }
 
-/// Counters the worker reports through `Stats` frames.
+/// Worker-only counters reported through `Stats` frames; the cache and
+/// execution counts are the local backend's metrics.
 #[derive(Debug, Default)]
 struct Counters {
-    served: AtomicU64,
-    executed: AtomicU64,
-    hits_memory: AtomicU64,
-    hits_disk: AtomicU64,
-    misses: AtomicU64,
-    panics: AtomicU64,
+    served: AtomicCounter,
+    /// `Run` frames answered 500 (a simulation panicked).
+    panics: AtomicCounter,
 }
 
 struct WorkerShared {
     addr: SocketAddr,
-    max_jobs: usize,
-    cache: ResultCache,
-    spans: ServeSpans,
+    local: LocalBackend,
+    spans: Arc<ServeSpans>,
     counters: Counters,
     draining: AtomicBool,
     /// Live connections by ID, for drain (read half-close) and kill.
@@ -135,11 +134,12 @@ impl Worker {
         // never sees two processes allocate the same ID. Coordinator IDs
         // stay small (base 0); worker IDs live above port << 32.
         let span_id_base = u64::from(addr.port()) << 32;
+        let spans = Arc::new(ServeSpans::with_id_base(config.span_capacity, span_id_base));
+        let local = LocalBackend::new(cache, config.max_jobs, Arc::clone(&spans), "worker");
         let shared = Arc::new(WorkerShared {
             addr,
-            max_jobs: config.max_jobs,
-            cache,
-            spans: ServeSpans::with_id_base(config.span_capacity, span_id_base),
+            local,
+            spans,
             counters: Counters::default(),
             draining: AtomicBool::new(false),
             conns: Mutex::new(BTreeMap::new()),
@@ -199,12 +199,13 @@ impl WorkerHandle {
 
     /// Requests served (all frame kinds answered).
     pub fn served(&self) -> u64 {
-        self.shared.counters.served.load(Ordering::Relaxed)
+        self.shared.counters.served.get()
     }
 
-    /// Simulations actually executed (cache misses that ran).
+    /// Simulations actually executed (cache misses that ran; coalesced
+    /// frames share one).
     pub fn executed(&self) -> u64 {
-        self.shared.counters.executed.load(Ordering::Relaxed)
+        self.shared.local.metrics().exec_runs.get()
     }
 }
 
@@ -280,28 +281,32 @@ fn serve_conn(shared: &Arc<WorkerShared>, mut stream: TcpStream) {
         };
         let reply = match msg {
             Msg::Run { spec_json, trace } => {
-                let (reply, rt) = handle_run(shared, &spec_json, trace);
-                shared.counters.served.fetch_add(1, Ordering::Relaxed);
+                // With a trace context every span joins the coordinator's
+                // request ID and hangs (via `exec_span`) under its
+                // `cluster.forward` span; without one the worker allocates
+                // a fresh local root.
+                let spans = &shared.spans;
+                let (request, parent) = match trace {
+                    Some(ctx) => (ctx.request, ctx.parent),
+                    None => (spans.begin_request(), 0),
+                };
+                let (exec_span, start_us) = (spans.alloc_span(), spans.now_us());
+                let reply = run_reply(shared, &spec_json, request, exec_span);
+                shared.counters.served.inc();
                 // Encode (the serialize span) and close out the request's
                 // root span *before* the socket write, so a `Trace` frame
                 // sent the instant the reply lands can never observe a
                 // ring missing this request's spans.
-                let serialize_start_us = shared.spans.now_us();
+                let serialize_start_us = spans.now_us();
                 let frame = wire::encode(&reply);
-                let end_us = shared.spans.now_us();
-                shared.spans.record_at(
-                    "serve.serialize",
-                    rt.request,
-                    rt.exec_span,
-                    serialize_start_us,
-                    end_us,
-                );
-                shared.spans.record_linked(
+                let end_us = spans.now_us();
+                spans.record_at("serve.serialize", request, exec_span, serialize_start_us, end_us);
+                spans.record_linked(
                     "cluster.worker_execute",
-                    rt.exec_span,
-                    rt.request,
-                    rt.parent,
-                    rt.start_us,
+                    exec_span,
+                    request,
+                    parent,
+                    start_us,
                     end_us,
                 );
                 if stream.write_all(&frame).is_err() || shared.draining.load(Ordering::SeqCst) {
@@ -333,7 +338,7 @@ fn serve_conn(shared: &Arc<WorkerShared>, mut stream: TcpStream) {
                 Msg::RunErr { status: 400, message: "unexpected reply kind".to_string() }
             }
         };
-        shared.counters.served.fetch_add(1, Ordering::Relaxed);
+        shared.counters.served.inc();
         if wire::write_msg(&mut stream, &reply).is_err() {
             return;
         }
@@ -343,94 +348,20 @@ fn serve_conn(shared: &Arc<WorkerShared>, mut stream: TcpStream) {
     }
 }
 
-/// Where one `Run` frame's spans attach: the (possibly remote) request
-/// ID, the parent span named by the coordinator's trace context (0 when
-/// the frame carried none), and the pre-allocated root span covering the
-/// whole handling, closed out by `serve_conn` after the reply encodes.
-struct RunTrace {
-    request: u64,
-    parent: u64,
-    exec_span: u64,
-    start_us: u64,
-}
-
-/// Executes (or replays) one spec; the body answered is byte-identical
-/// to a direct `hbc-serve` hit for the same spec. When the frame carried
-/// a trace context, every span joins the coordinator's request ID and
-/// hangs (via `exec_span`) under its `cluster.forward` span; otherwise
-/// the worker allocates a fresh local root.
-fn handle_run(
-    shared: &Arc<WorkerShared>,
-    spec_json: &str,
-    trace: Option<TraceCtx>,
-) -> (Msg, RunTrace) {
-    let (request, parent) = match trace {
-        Some(ctx) => (ctx.request, ctx.parent),
-        None => (shared.spans.begin_request(), 0),
-    };
-    let rt = RunTrace {
-        request,
-        parent,
-        exec_span: shared.spans.alloc_span(),
-        start_us: shared.spans.now_us(),
-    };
-    let reply = handle_run_inner(shared, spec_json, &rt);
-    (reply, rt)
-}
-
-fn handle_run_inner(shared: &Arc<WorkerShared>, spec_json: &str, rt: &RunTrace) -> Msg {
-    let mut run = match RunRequest::from_json_text(spec_json) {
-        Ok(run) => run,
-        Err(err) => return Msg::RunErr { status: 400, message: err.to_string() },
-    };
-    if run.jobs > shared.max_jobs {
-        run.jobs = shared.max_jobs;
-    }
-    let hash = run.spec_hash();
-    let canonical = run.canonical();
-
-    let lookup_start_us = shared.spans.now_us();
-    let cached = shared.cache.get(&hash, &canonical);
-    shared.spans.record_at(
-        "serve.cache_lookup",
-        rt.request,
-        rt.exec_span,
-        lookup_start_us,
-        shared.spans.now_us(),
-    );
-    if let Some((body, tier)) = cached {
-        let (label, counter) = match tier {
-            Tier::Memory => ("hit-memory", &shared.counters.hits_memory),
-            Tier::Disk => ("hit-disk", &shared.counters.hits_disk),
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        return Msg::RunOk { cache: label.to_string(), spec_hash: hash, body };
-    }
-
-    shared.counters.misses.fetch_add(1, Ordering::Relaxed);
-    shared.counters.executed.fetch_add(1, Ordering::Relaxed);
-    let simulate_start_us = shared.spans.now_us();
-    let result = catch_unwind(AssertUnwindSafe(|| run.execute()));
-    shared.spans.record_at(
-        "serve.simulate",
-        rt.request,
-        rt.exec_span,
-        simulate_start_us,
-        shared.spans.now_us(),
-    );
-    match result {
-        Ok(body) => {
-            if let Err(e) = shared.cache.put(&hash, &canonical, &body) {
-                eprintln!("hbc-cluster worker: persisting cache entry {hash} failed: {e}");
-            }
-            Msg::RunOk { cache: "miss".to_string(), spec_hash: hash, body }
+/// Executes, coalesces or replays one spec through the local backend;
+/// the body answered is byte-identical to a direct `hbc-serve` for the
+/// same spec. Spans record under `request`, parented on `exec_span`.
+fn run_reply(shared: &WorkerShared, spec_json: &str, request: u64, exec_span: u64) -> Msg {
+    // No deadline: the coordinator's wire budget bounds the exchange.
+    match shared.local.run_spec(spec_json, None, request, exec_span) {
+        Outcome::Served(cache, spec_hash, body) => {
+            Msg::RunOk { cache: cache.to_string(), spec_hash, body }
         }
-        Err(_) => {
-            shared.counters.panics.fetch_add(1, Ordering::Relaxed);
-            Msg::RunErr {
-                status: 500,
-                message: format!("simulation for spec {hash} panicked; see worker logs"),
+        Outcome::Failed(status, message) => {
+            if status == 500 {
+                shared.counters.panics.inc();
             }
+            Msg::RunErr { status, message }
         }
     }
 }
@@ -438,14 +369,14 @@ fn handle_run_inner(shared: &Arc<WorkerShared>, spec_json: &str, rt: &RunTrace) 
 /// The flattened counter snapshot a `Stats` frame answers: counters plus
 /// execute-stage latency quantiles, sorted by name.
 fn stats_pairs(shared: &WorkerShared) -> Vec<(String, u64)> {
-    let c = &shared.counters;
+    let (c, m) = (&shared.counters, shared.local.metrics());
     let mut pairs = vec![
-        ("worker.executed".to_string(), c.executed.load(Ordering::Relaxed)),
-        ("worker.hits_disk".to_string(), c.hits_disk.load(Ordering::Relaxed)),
-        ("worker.hits_memory".to_string(), c.hits_memory.load(Ordering::Relaxed)),
-        ("worker.misses".to_string(), c.misses.load(Ordering::Relaxed)),
-        ("worker.panics".to_string(), c.panics.load(Ordering::Relaxed)),
-        ("worker.served".to_string(), c.served.load(Ordering::Relaxed)),
+        ("worker.executed".to_string(), m.exec_runs.get()),
+        ("worker.hits_disk".to_string(), m.cache_hits_disk.get()),
+        ("worker.hits_memory".to_string(), m.cache_hits_memory.get()),
+        ("worker.misses".to_string(), m.cache_misses.get()),
+        ("worker.panics".to_string(), c.panics.get()),
+        ("worker.served".to_string(), c.served.get()),
     ];
     // hbc-allow: probe-coverage (a span-stage histogram lookup, not a registry read; the stage is in STAGE_NAMES)
     if let Some(h) = shared.spans.stage_histograms().get("cluster.worker_execute") {
@@ -460,6 +391,8 @@ fn stats_pairs(shared: &WorkerShared) -> Vec<(String, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::TraceCtx;
+    use hbc_serve::spec::RunRequest;
 
     fn test_worker() -> Worker {
         let config = WorkerConfig {
@@ -519,6 +452,42 @@ mod tests {
             other => panic!("expected RunOk, got {other:?}"),
         }
         assert_eq!(worker.handle().executed(), 1, "the hit must not re-simulate");
+        worker.handle().drain();
+        worker.join();
+    }
+
+    #[test]
+    fn concurrent_identical_runs_simulate_once() {
+        let worker = test_worker();
+        let addr = worker.addr();
+        let spec = r#"{"experiment":"fig4","preset":"fast","seed":13}"#;
+        // Both frames go out together, well inside one simulation's time.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    let run = Msg::Run { spec_json: spec.to_string(), trace: None };
+                    barrier.wait();
+                    wire::write_msg(&mut stream, &run).expect("write");
+                    wire::read_msg(&mut stream).expect("read")
+                })
+            })
+            .collect();
+        let bodies: Vec<String> = clients
+            .into_iter()
+            .map(|client| match client.join().expect("client thread") {
+                Msg::RunOk { body, .. } => body,
+                other => panic!("expected RunOk, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(bodies[0], bodies[1], "coalesced replies must be byte-identical");
+        assert_eq!(
+            worker.handle().executed(),
+            1,
+            "identical concurrent frames share one simulation"
+        );
         worker.handle().drain();
         worker.join();
     }

@@ -280,7 +280,13 @@ fn coordinator_drain_finishes_in_flight_and_refuses_new() {
 
     // Put one request in flight, then drain while it runs.
     let in_flight = std::thread::spawn(move || http().post(addr, "/run", body.as_bytes()));
-    std::thread::sleep(Duration::from_millis(30));
+    // A handler has read the request once the coordinator counts it.
+    let metrics = coordinator.handle().metrics();
+    let started = Instant::now();
+    while metrics.requests.get() < 1 {
+        assert!(started.elapsed() < Duration::from_secs(10), "the request never reached a handler");
+        std::thread::yield_now();
+    }
     shutdown(&coordinator.handle(), addr);
 
     // New connections are refused with an orderly 503, not a reset.

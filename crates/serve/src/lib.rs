@@ -10,10 +10,16 @@
 //! * [`hash`] / [`cache`] — SHA-256 content addressing over canonical
 //!   specs, an in-memory LRU, and on-disk persistence under
 //!   `results/cache/`, so identical requests never re-simulate;
-//! * [`http`] / [`server`] — a std-only HTTP/1.1 server on `TcpListener`
-//!   with a fixed worker pool, a bounded admission queue (429 on
-//!   overload), single-flight coalescing of concurrent identical
-//!   requests, per-request timeouts, and graceful drain on shutdown;
+//! * [`http`] / [`front`] — a std-only HTTP/1.1 front end on
+//!   `TcpListener` with a fixed handler pool, a bounded admission queue
+//!   (429 on overload), per-request deadlines, and graceful drain (503 to
+//!   new connections until in-flight requests finish). It serves one
+//!   [`front::Backend`]; the `hbc-cluster` coordinator is the same front
+//!   end over a remote backend;
+//! * [`server`] — the front end over the local backend: single-flight
+//!   coalescing of concurrent identical requests onto one simulation,
+//!   with results kept in the cache; the cluster worker answers through
+//!   the same backend;
 //! * [`metrics`] — request/cache/queue/latency counters and per-stage
 //!   quantiles in the Prometheus text format at `GET /metrics` (legacy
 //!   `hbc-probe` registry JSON at `GET /metrics.json`);
@@ -44,6 +50,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod front;
 pub mod hash;
 pub mod http;
 pub mod json;
@@ -57,11 +64,12 @@ use std::sync::{Mutex, MutexGuard};
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
 /// The service must not let one poisoned lock wedge every later request:
-/// all shared state guarded here (cache LRU, metrics histogram, admission
-/// queue) stays internally consistent under panic because each critical
-/// section completes its writes before leaving, so continuing with the
-/// inner value is sound.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// all shared state guarded with it (cache LRU, metrics histogram,
+/// admission queue, in-flight tables, and in `hbc-cluster` the worker
+/// windows and connection registry) stays internally consistent under
+/// panic because each critical section completes its writes before
+/// leaving, so continuing with the inner value is sound.
+pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),

@@ -150,10 +150,6 @@ impl Metrics {
     ) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let family = |out: &mut String, name: &str, kind: &str, help: &str| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-        };
 
         family(
             &mut out,
@@ -163,22 +159,7 @@ impl Metrics {
         );
         let _ = writeln!(out, "serve_http_requests_total {}", self.requests.get());
 
-        family(&mut out, "serve_http_responses_total", "counter", "Responses by HTTP status code.");
-        for (status, counter) in [
-            ("200", &self.responses_ok),
-            ("400", &self.responses_bad_request),
-            ("404", &self.responses_not_found),
-            ("429", &self.responses_rejected),
-            ("500", &self.responses_error),
-            ("503", &self.responses_unavailable),
-            ("504", &self.responses_timeout),
-        ] {
-            let _ = writeln!(
-                out,
-                "serve_http_responses_total{{status=\"{status}\"}} {}",
-                counter.get()
-            );
-        }
+        self.write_responses(&mut out, "serve_http_responses_total", &[]);
 
         family(&mut out, "serve_cache_hits_total", "counter", "Result-cache hits by serving tier.");
         let _ = writeln!(
@@ -217,30 +198,8 @@ impl Metrics {
         );
         let _ = writeln!(out, "serve_exec_runs_total {}", self.exec_runs.get());
 
-        family(&mut out, "serve_queue_depth", "gauge", "Current admission-queue depth.");
-        let _ = writeln!(out, "serve_queue_depth {}", self.queue_depth.load(Ordering::Relaxed));
-        family(&mut out, "serve_queue_peak", "gauge", "High-water mark of the admission queue.");
-        let _ = writeln!(out, "serve_queue_peak {}", self.queue_peak.load(Ordering::Relaxed));
+        self.write_queue(&mut out, "serve", span_dropped);
 
-        family(
-            &mut out,
-            "hbc_span_dropped_total",
-            "counter",
-            "Spans evicted from the bounded ring before export (a nonzero value means GET /trace is truncated).",
-        );
-        let _ = writeln!(out, "hbc_span_dropped_total {span_dropped}");
-
-        // `labels` is either empty or a rendered `key="value"` pair to
-        // prepend before the quantile label.
-        let summary = |out: &mut String, name: &str, labels: &str, h: &Histogram| {
-            let lead = if labels.is_empty() { String::new() } else { format!("{labels},") };
-            for (q, tag) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                let _ = writeln!(out, "{name}{{{lead}quantile=\"{tag}\"}} {}", h.quantile(q));
-            }
-            let braced = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
-            let _ = writeln!(out, "{name}_sum{braced} {}", h.sum());
-            let _ = writeln!(out, "{name}_count{braced} {}", h.count());
-        };
         family(
             &mut out,
             "serve_latency_microseconds",
@@ -249,22 +208,88 @@ impl Metrics {
         );
         summary(&mut out, "serve_latency_microseconds", "", &lock(&self.latency_micros).clone());
 
-        family(
+        write_stages(
             &mut out,
             "serve_stage_duration_microseconds",
-            "summary",
             "Span duration per request lifecycle stage.",
+            stages,
         );
-        for (stage, h) in stages {
-            summary(
-                &mut out,
-                "serve_stage_duration_microseconds",
-                &format!("stage=\"{stage}\""),
-                h,
-            );
-        }
         out
     }
+
+    /// Writes the `name` family: one row per response status, in status
+    /// order, plus `extra` rows for statuses counted outside these
+    /// metrics (the coordinator's `502`).
+    pub fn write_responses(&self, out: &mut String, name: &str, extra: &[(&str, u64)]) {
+        use std::fmt::Write as _;
+        family(out, name, "counter", "Responses by HTTP status code.");
+        let mut rows = vec![
+            ("200", self.responses_ok.get()),
+            ("400", self.responses_bad_request.get()),
+            ("404", self.responses_not_found.get()),
+            ("429", self.responses_rejected.get()),
+            ("500", self.responses_error.get()),
+            ("503", self.responses_unavailable.get()),
+            ("504", self.responses_timeout.get()),
+        ];
+        rows.extend_from_slice(extra);
+        rows.sort_unstable();
+        for (status, count) in rows {
+            let _ = writeln!(out, "{name}{{status=\"{status}\"}} {count}");
+        }
+    }
+
+    /// Writes the `{prefix}_queue_depth` and `{prefix}_queue_peak` gauges,
+    /// then the span ring's drop count.
+    pub fn write_queue(&self, out: &mut String, prefix: &str, span_dropped: u64) {
+        use std::fmt::Write as _;
+        let (depth, peak) = (format!("{prefix}_queue_depth"), format!("{prefix}_queue_peak"));
+        family(out, &depth, "gauge", "Current admission-queue depth.");
+        let _ = writeln!(out, "{depth} {}", self.queue_depth.load(Ordering::Relaxed));
+        family(out, &peak, "gauge", "High-water mark of the admission queue.");
+        let _ = writeln!(out, "{peak} {}", self.queue_peak.load(Ordering::Relaxed));
+        family(
+            out,
+            "hbc_span_dropped_total",
+            "counter",
+            "Spans evicted from the bounded ring before export (a nonzero value means GET /trace is truncated).",
+        );
+        let _ = writeln!(out, "hbc_span_dropped_total {span_dropped}");
+    }
+}
+
+/// Writes the `name` summary family with one summary per span stage.
+pub fn write_stages(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    stages: &BTreeMap<&'static str, Histogram>,
+) {
+    family(out, name, "summary", help);
+    for (stage, h) in stages {
+        summary(out, name, &format!("stage=\"{stage}\""), h);
+    }
+}
+
+/// Writes a family's `# HELP` and `# TYPE` lines.
+pub fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    use std::fmt::Write as _;
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Writes one summary's p50/p95/p99 `quantile` samples, `_sum` and
+/// `_count`. `labels` is either empty or rendered `key="value"` pairs to
+/// put before the quantile label.
+pub fn summary(out: &mut String, name: &str, labels: &str, h: &Histogram) {
+    use std::fmt::Write as _;
+    let lead = if labels.is_empty() { String::new() } else { format!("{labels},") };
+    for (q, tag) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
+        let _ = writeln!(out, "{name}{{{lead}quantile=\"{tag}\"}} {}", h.quantile(q));
+    }
+    let braced = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
+    let _ = writeln!(out, "{name}_sum{braced} {}", h.sum());
+    let _ = writeln!(out, "{name}_count{braced} {}", h.count());
 }
 
 /// One parsed Prometheus sample line: `name{labels} value`.

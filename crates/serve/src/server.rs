@@ -1,48 +1,38 @@
-//! The simulation server: acceptor, bounded admission queue, worker pool,
-//! single-flight execution, and graceful shutdown.
+//! The simulation server: the shared HTTP front end ([`crate::front`])
+//! over the local backend — result cache, single-flight execution, and
+//! the simulation drivers.
 //!
 //! ```text
-//!            accept           bounded queue            worker pool
-//!  clients ─────────▶ acceptor ──────────────▶ workers ──┬─ cache hit ─▶ respond
-//!                        │ queue full                    └─ miss ─▶ single-flight
-//!                        ▼                                          runner thread
-//!                   429 response                                    (hbc-exec)
+//!            front end (accept, queue, handlers)      local backend
+//!  clients ───────────────────────────────────▶ POST /run ──┬─ cache hit ─▶ respond
+//!                                                           └─ miss ─▶ single-flight
+//!                                                                      runner thread
+//!                                                                      (hbc-exec)
 //! ```
 //!
-//! Robustness decisions, in one place:
+//! Robustness decisions, in one place (admission, deadline and drain
+//! are the front end's and are documented there):
 //!
-//! * **Backpressure** — the admission queue holds at most
-//!   [`ServerConfig::queue_capacity`] connections; beyond that the
-//!   acceptor answers `429` immediately instead of letting latency grow
-//!   without bound (and instead of accepting work it cannot finish).
-//! * **Timeouts** — every request carries a deadline from the moment it
-//!   was accepted; a simulation that misses it gets a `504`, while the
-//!   runner thread finishes in the background and populates the result
-//!   cache, so a retry is a hit.
+//! * **Timeouts** — a simulation that misses the request deadline gets a
+//!   `504`, while the runner thread finishes in the background and
+//!   populates the result cache, so a retry is a hit.
 //! * **Single-flight** — concurrent identical requests coalesce onto one
 //!   simulation; followers wait on the leader's flight and serve the
-//!   same bytes. `serve.exec.runs` counts real simulations only.
-//! * **Graceful shutdown** — `POST /shutdown` (or
-//!   [`ServerHandle::shutdown`]) stops the acceptor, lets workers drain
-//!   the queue and finish in-flight responses, and answers any connection
-//!   still queued with `503`.
+//!   same bytes. `serve.exec.runs` counts real simulations only. The
+//!   cluster worker answers its `Run` frames through the same backend.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::cache::{ResultCache, Tier};
-use crate::http::{self, HttpError, Request};
-use crate::json::Json;
+use crate::front::{Backend, Front, FrontConfig, FrontHandle, Responder};
 use crate::lock;
 use crate::metrics::Metrics;
 use crate::spans::ServeSpans;
-use crate::spec::{ExperimentId, Preset, RunRequest};
+use crate::spec::RunRequest;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -98,13 +88,6 @@ struct Flight {
     cv: Condvar,
 }
 
-/// Outcome of waiting on a [`Flight`] with a deadline.
-enum FlightWait {
-    Done(String),
-    Failed(String),
-    TimedOut,
-}
-
 impl Flight {
     fn new() -> Self {
         Flight { state: Mutex::new(FlightState::Running), cv: Condvar::new() }
@@ -115,519 +98,265 @@ impl Flight {
         self.cv.notify_all();
     }
 
-    fn wait(&self, deadline: Instant) -> FlightWait {
+    /// Waits until the flight lands, or until `deadline` if there is one;
+    /// `Running` means the deadline passed first.
+    fn wait(&self, deadline: Option<Instant>) -> FlightState {
         let mut state = lock(&self.state);
-        loop {
-            match &*state {
-                FlightState::Done(body) => return FlightWait::Done(body.clone()),
-                FlightState::Failed(msg) => return FlightWait::Failed(msg.clone()),
-                FlightState::Running => {}
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return FlightWait::TimedOut;
-            }
-            state = match self.cv.wait_timeout(state, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
+        while matches!(*state, FlightState::Running) {
+            state = match deadline {
+                None => self.cv.wait(state).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break;
+                    }
+                    match self.cv.wait_timeout(state, deadline - now) {
+                        Ok((guard, _)) => guard,
+                        Err(poisoned) => poisoned.into_inner().0,
+                    }
+                }
             };
+        }
+        state.clone()
+    }
+}
+
+/// How [`LocalBackend::run_spec`] answered one spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Outcome {
+    /// How it was served (`hit-memory`, `hit-disk`, `miss` or
+    /// `coalesced`), the spec hash, and the payload — byte-identical to
+    /// the figure binary's output.
+    Served(&'static str, String, String),
+    /// An error status (`400` bad spec, `500` failed simulation, `504`
+    /// missed deadline) and its message.
+    Failed(u16, String),
+}
+
+/// The local backend: content-addressed result cache, single-flight
+/// coalescing, and simulation on a runner thread.
+pub struct LocalBackend {
+    inner: Arc<Local>,
+}
+
+struct Local {
+    max_jobs: usize,
+    cache: ResultCache,
+    metrics: Arc<Metrics>,
+    spans: Arc<ServeSpans>,
+    in_flight: Mutex<BTreeMap<String, Arc<Flight>>>,
+    /// Names the process in panic messages (`see {role} logs`).
+    role: String,
+}
+
+impl LocalBackend {
+    /// A backend over `cache` that clamps `jobs` to `max_jobs` and traces
+    /// into `spans`. `role` names the process in error messages.
+    pub fn new(cache: ResultCache, max_jobs: usize, spans: Arc<ServeSpans>, role: &str) -> Self {
+        let (metrics, in_flight) = (Arc::default(), Mutex::default());
+        let role = role.to_string();
+        LocalBackend { inner: Arc::new(Local { max_jobs, cache, metrics, spans, in_flight, role }) }
+    }
+
+    /// The cache and execution counters (shared with the front end).
+    pub fn metrics(&self) -> &Arc<Metrics> {
+        &self.inner.metrics
+    }
+
+    /// Answers one spec: cache lookup, then single-flight simulation.
+    /// `deadline` bounds the wait for a simulation; a missed deadline
+    /// answers `504` while the simulation runs on into the cache. With
+    /// `None` the leader simulates on the calling thread. Spans record
+    /// under `request`, parented on `parent`.
+    pub fn run_spec(
+        &self,
+        spec_json: &str,
+        deadline: Option<Instant>,
+        request: u64,
+        parent: u64,
+    ) -> Outcome {
+        let (local, spans) = (&self.inner, &self.inner.spans);
+        let mut run = match RunRequest::from_json_text(spec_json) {
+            Ok(run) => run,
+            Err(err) => return Outcome::Failed(400, err.to_string()),
+        };
+        // `jobs` is execution-only (absent from the cache key); clamp it so
+        // a request cannot commandeer the host.
+        if run.jobs > local.max_jobs {
+            run.jobs = local.max_jobs;
+        }
+        let spec_hash = run.spec_hash();
+        let canonical = run.canonical();
+
+        let lookup_start_us = spans.now_us();
+        let cached = local.cache.get(&spec_hash, &canonical);
+        let lookup_end_us = spans.now_us();
+        spans.record_at("serve.cache_lookup", request, parent, lookup_start_us, lookup_end_us);
+        if let Some((body, tier)) = cached {
+            let (cache, counter) = match tier {
+                Tier::Memory => ("hit-memory", &local.metrics.cache_hits_memory),
+                Tier::Disk => ("hit-disk", &local.metrics.cache_hits_disk),
+            };
+            counter.inc();
+            return Outcome::Served(cache, spec_hash, body);
+        }
+
+        // Single-flight: the first requester for this hash leads and
+        // executes; concurrent identical requests wait on the same flight.
+        let (flight, leader) = {
+            let mut in_flight = lock(&local.in_flight);
+            match in_flight.get(&spec_hash) {
+                Some(flight) => (Arc::clone(flight), false),
+                None => {
+                    let flight = Arc::new(Flight::new());
+                    in_flight.insert(spec_hash.clone(), Arc::clone(&flight));
+                    (flight, true)
+                }
+            }
+        };
+        if leader {
+            local.metrics.cache_misses.inc();
+            let key = (spec_hash.clone(), canonical);
+            self.run_flight(run, key, (request, parent), &flight, deadline);
+        } else {
+            local.metrics.coalesced.inc();
+        }
+
+        let wait_start_us = spans.now_us();
+        let outcome = flight.wait(deadline);
+        let wait_end_us = spans.now_us();
+        spans.record_at("serve.single_flight_wait", request, parent, wait_start_us, wait_end_us);
+        match outcome {
+            FlightState::Done(body) => {
+                Outcome::Served(if leader { "miss" } else { "coalesced" }, spec_hash, body)
+            }
+            FlightState::Failed(message) => Outcome::Failed(500, message),
+            FlightState::Running => Outcome::Failed(
+                504,
+                "simulation exceeded the request timeout; it continues into the result cache \
+                 — retry to fetch it"
+                    .to_string(),
+            ),
+        }
+    }
+
+    /// Runs one simulation and completes its [`Flight`]. Without a
+    /// deadline nobody can give up waiting, so it runs on this thread.
+    /// With one it runs on a detached runner thread that finishes even if
+    /// every waiter times out, so the result still lands in the cache and
+    /// a retry is a hit.
+    fn run_flight(
+        &self,
+        run: RunRequest,
+        (hash, canonical): (String, String),
+        (request, parent): (u64, u64),
+        flight: &Arc<Flight>,
+        deadline: Option<Instant>,
+    ) {
+        let local = Arc::clone(&self.inner);
+        let (runner_flight, runner_hash) = (Arc::clone(flight), hash.clone());
+        let simulate = move || {
+            let (flight, hash) = (runner_flight, runner_hash);
+            local.metrics.exec_runs.inc();
+            let sim_start_us = local.spans.now_us();
+            let result = catch_unwind(AssertUnwindSafe(|| run.execute()));
+            // The simulate span carries the leader's request ID; coalesced
+            // followers share this one simulation, so their traces show a
+            // single-flight wait instead.
+            let sim_end_us = local.spans.now_us();
+            local.spans.record_at("serve.simulate", request, parent, sim_start_us, sim_end_us);
+            let state = match result {
+                Ok(body) => {
+                    if let Err(e) = local.cache.put(&hash, &canonical, &body) {
+                        eprintln!("{}: persisting cache entry {hash} failed: {e}", local.role);
+                    }
+                    FlightState::Done(body)
+                }
+                Err(_) => FlightState::Failed(format!(
+                    "simulation for spec {hash} panicked; see {} logs",
+                    local.role
+                )),
+            };
+            lock(&local.in_flight).remove(&hash);
+            flight.finish(state);
+        };
+        if deadline.is_none() {
+            return simulate();
+        }
+        let runner = std::thread::Builder::new().name("hbc-serve-runner".to_string());
+        if let Err(e) = runner.spawn(simulate) {
+            lock(&self.inner.in_flight).remove(&hash);
+            flight.finish(FlightState::Failed(format!("cannot spawn runner thread: {e}")));
         }
     }
 }
 
-/// One accepted connection waiting for a worker.
-struct QueuedConn {
-    stream: TcpStream,
-    accepted: Instant,
-    /// The span-trace request ID allocated at accept.
-    request_id: u64,
-    /// When the connection entered the queue, on the span clock.
-    queued_us: u64,
+impl Backend for LocalBackend {
+    const ROLE: &'static str = "server";
+    const PATHS: &'static [&'static str] = &["/metrics.json"];
+
+    fn run(&self, out: &mut Responder<'_, Self>, body: &[u8]) {
+        let Ok(text) = std::str::from_utf8(body) else {
+            out.error(400, "request body is not UTF-8");
+            return;
+        };
+        match self.run_spec(text, Some(out.deadline), out.request_id, 0) {
+            Outcome::Served(cache, spec_hash, body) => {
+                let headers = [("X-Cache", cache), ("X-Spec-Hash", spec_hash.as_str())];
+                out.respond(200, "text/plain", &headers, body.as_bytes());
+            }
+            Outcome::Failed(status, message) => out.error(status, &message),
+        }
+    }
+
+    fn prometheus(&self, front: &Metrics, spans: &ServeSpans) -> String {
+        front.to_prometheus(
+            self.inner.cache.evictions(),
+            spans.log().dropped(),
+            &spans.stage_histograms(),
+        )
+    }
+
+    /// `GET /metrics.json`: the legacy registry snapshot — service
+    /// counters plus the result cache's eviction count, rendered as
+    /// deterministic `hbc-probe` JSON.
+    fn route(&self, out: &mut Responder<'_, Self>, method: &str, path: &str, _query: &str) -> bool {
+        if (method, path) != ("GET", "/metrics.json") {
+            return false;
+        }
+        let mut reg = self.inner.metrics.to_registry();
+        reg.counter("serve.cache.evictions").set(self.inner.cache.evictions());
+        out.respond(200, "application/json", &[], reg.to_json().as_bytes());
+        true
+    }
 }
 
-/// State shared by the acceptor, the workers, and every handle.
-struct Shared {
-    addr: SocketAddr,
-    request_timeout: Duration,
-    max_jobs: usize,
-    cache: ResultCache,
-    metrics: Arc<Metrics>,
-    spans: ServeSpans,
-    queue: Mutex<VecDeque<QueuedConn>>,
-    queue_cv: Condvar,
-    queue_capacity: usize,
-    shutdown: AtomicBool,
-    in_flight: Mutex<BTreeMap<String, Arc<Flight>>>,
-}
-
-/// A running server. The usual lifecycle is [`Server::bind`] → clients →
-/// `POST /shutdown` (or [`ServerHandle::shutdown`]) → [`Server::join`].
-pub struct Server {
-    shared: Arc<Shared>,
-    acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
-}
+/// A running server: the shared front end over a [`LocalBackend`]. The
+/// usual lifecycle is [`Server::bind`] → clients → `POST /shutdown` (or
+/// [`ServerHandle::shutdown`]) → [`Front::join`].
+pub type Server = Front<LocalBackend>;
 
 /// A cloneable reference to a running server, for shutdown and metrics.
-#[derive(Clone)]
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-}
+pub type ServerHandle = FrontHandle<LocalBackend>;
 
 impl Server {
     /// Binds the listener, spawns the acceptor and worker threads, and
     /// returns immediately.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let cache = match &config.cache_dir {
             Some(dir) => ResultCache::new(dir.clone(), config.cache_entries),
             None => ResultCache::in_memory(config.cache_entries),
         };
-        let shared = Arc::new(Shared {
-            addr,
-            request_timeout: config.request_timeout,
-            max_jobs: config.max_jobs,
-            cache,
-            metrics: Arc::new(Metrics::default()),
-            spans: ServeSpans::new(config.span_capacity),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+        let spans = Arc::new(ServeSpans::new(config.span_capacity));
+        let backend = LocalBackend::new(cache, config.max_jobs, Arc::clone(&spans), "server");
+        let metrics = Arc::clone(backend.metrics());
+        let front = FrontConfig {
+            addr: config.addr,
+            handlers: config.workers,
             queue_capacity: config.queue_capacity,
-            shutdown: AtomicBool::new(false),
-            in_flight: Mutex::new(BTreeMap::new()),
-        });
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("hbc-serve-acceptor".to_string())
-                .spawn(move || accept_loop(&shared, &listener))?
+            request_timeout: config.request_timeout,
         };
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
-            let shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("hbc-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
-        }
-        Ok(Server { shared, acceptor, workers })
-    }
-
-    /// The bound address (the real port even when `addr` asked for `:0`).
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// A handle for shutdown and metrics inspection.
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle { shared: Arc::clone(&self.shared) }
-    }
-
-    /// Blocks until shutdown is requested, then drains: joins the
-    /// acceptor and workers and answers any still-queued connection with
-    /// `503`.
-    pub fn join(self) {
-        let _ = self.acceptor.join();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-        // Anything still queued (no workers, or a push that raced the
-        // last worker's exit) gets an orderly refusal.
-        let leftovers: Vec<QueuedConn> = lock(&self.shared.queue).drain(..).collect();
-        for conn in leftovers {
-            self.shared.metrics.queue_pop();
-            self.shared.metrics.responses_unavailable.inc();
-            respond_without_reading(conn.stream, 503, "server is shutting down");
-        }
-    }
-}
-
-impl ServerHandle {
-    /// Requests graceful shutdown: stops accepting, lets workers drain.
-    pub fn shutdown(&self) {
-        initiate_shutdown(&self.shared);
-    }
-
-    /// The live metrics shared with the server.
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.shared.metrics)
-    }
-}
-
-fn initiate_shutdown(shared: &Shared) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    shared.queue_cv.notify_all();
-    // Unblock the acceptor's blocking accept with a throwaway connection.
-    let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
-}
-
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let accept_start_us = shared.spans.now_us();
-        let mut queue = lock(&shared.queue);
-        if queue.len() >= shared.queue_capacity {
-            drop(queue);
-            shared.metrics.responses_rejected.inc();
-            respond_without_reading(stream, 429, "admission queue is full, retry later");
-            continue;
-        }
-        let request_id = shared.spans.begin_request();
-        let queued_us = shared.spans.now_us();
-        queue.push_back(QueuedConn { stream, accepted: Instant::now(), request_id, queued_us });
-        shared.metrics.queue_push();
-        drop(queue);
-        shared.spans.record_at("serve.accept", request_id, 0, accept_start_us, queued_us);
-        shared.queue_cv.notify_one();
-    }
-}
-
-/// Writes an error response to a connection whose request was never read
-/// (admission rejection, shutdown drain), then drains the unread request
-/// bytes so closing the socket does not RST the response away.
-fn respond_without_reading(mut stream: TcpStream, status: u16, message: &str) {
-    let short = Duration::from_millis(500);
-    let _ = stream.set_write_timeout(Some(short));
-    let _ = stream.set_read_timeout(Some(short));
-    let body = error_body(status, message);
-    if http::write_response(&mut stream, status, "application/json", &[], body.as_bytes()).is_ok() {
-        use std::io::Read as _;
-        let mut sink = [0u8; 512];
-        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let conn = {
-            let mut queue = lock(&shared.queue);
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    shared.metrics.queue_pop();
-                    break Some(conn);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = match shared.queue_cv.wait(queue) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        };
-        match conn {
-            Some(conn) => handle_conn(shared, conn),
-            None => return,
-        }
-    }
-}
-
-/// JSON error envelope: `{"error":…,"status":…}`.
-fn error_body(status: u16, message: &str) -> String {
-    let mut obj = BTreeMap::new();
-    obj.insert("error".to_string(), Json::Str(message.to_string()));
-    obj.insert("status".to_string(), Json::U64(u64::from(status)));
-    Json::Obj(obj).render()
-}
-
-/// Per-request context threaded from accept to response: the wall-clock
-/// accept time (latency metric, deadline base) and the span-trace request
-/// ID allocated by the acceptor.
-#[derive(Clone, Copy)]
-struct ReqCtx {
-    accepted: Instant,
-    request_id: u64,
-}
-
-/// One response, with metrics accounting by status and spans for the
-/// serialize and write stages.
-fn respond(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    ctx: ReqCtx,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) {
-    match status {
-        200 => shared.metrics.responses_ok.inc(),
-        400 | 405 => shared.metrics.responses_bad_request.inc(),
-        404 => shared.metrics.responses_not_found.inc(),
-        429 => shared.metrics.responses_rejected.inc(),
-        503 => shared.metrics.responses_unavailable.inc(),
-        504 => shared.metrics.responses_timeout.inc(),
-        _ => shared.metrics.responses_error.inc(),
-    }
-    let serialize_start_us = shared.spans.now_us();
-    let bytes = http::render_response(status, content_type, extra_headers, body);
-    let write_start_us = shared.spans.now_us();
-    shared.spans.record_at(
-        "serve.serialize",
-        ctx.request_id,
-        0,
-        serialize_start_us,
-        write_start_us,
-    );
-    use std::io::Write as _;
-    let _ = stream.write_all(&bytes).and_then(|()| stream.flush());
-    shared.spans.record_at("serve.write", ctx.request_id, 0, write_start_us, shared.spans.now_us());
-    let micros = u64::try_from(ctx.accepted.elapsed().as_micros()).unwrap_or(u64::MAX);
-    shared.metrics.record_latency(micros);
-}
-
-fn respond_error(shared: &Shared, stream: &mut TcpStream, ctx: ReqCtx, status: u16, message: &str) {
-    let body = error_body(status, message);
-    respond(shared, stream, ctx, status, "application/json", &[], body.as_bytes());
-}
-
-fn handle_conn(shared: &Arc<Shared>, conn: QueuedConn) {
-    let QueuedConn { mut stream, accepted, request_id, queued_us } = conn;
-    let ctx = ReqCtx { accepted, request_id };
-    shared.spans.record_at("serve.queue_wait", request_id, 0, queued_us, shared.spans.now_us());
-    let deadline = accepted + shared.request_timeout;
-    let now = Instant::now();
-    if now >= deadline {
-        // Spent its whole budget in the queue.
-        shared.metrics.requests.inc();
-        respond_error(shared, &mut stream, ctx, 504, "request timed out in queue");
-        return;
-    }
-    // The socket read budget is the smaller of the request deadline and a
-    // fixed cap, so an idle client cannot pin a worker for a long timeout.
-    let io_budget = (deadline - now).min(Duration::from_secs(10));
-    let _ = stream.set_read_timeout(Some(io_budget));
-    let _ = stream.set_write_timeout(Some(io_budget));
-
-    let parse_start_us = shared.spans.now_us();
-    let parsed = http::read_request(&mut stream);
-    shared.spans.record_at("serve.parse", request_id, 0, parse_start_us, shared.spans.now_us());
-    let request = match parsed {
-        Ok(request) => request,
-        // Nothing useful (or nobody) to answer: closed early or dead socket.
-        Err(HttpError::Closed | HttpError::Io(_)) => return,
-        Err(err @ (HttpError::Malformed(_) | HttpError::TooLarge(_))) => {
-            shared.metrics.requests.inc();
-            respond_error(shared, &mut stream, ctx, 400, &err.to_string());
-            return;
-        }
-    };
-    shared.metrics.requests.inc();
-
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/run") => handle_run(shared, &mut stream, ctx, deadline, &request),
-        ("GET", "/metrics") => {
-            let body = shared.metrics.to_prometheus(
-                shared.cache.evictions(),
-                shared.spans.log().dropped(),
-                &shared.spans.stage_histograms(),
-            );
-            let ct = "text/plain; version=0.0.4";
-            respond(shared, &mut stream, ctx, 200, ct, &[], body.as_bytes());
-        }
-        ("GET", "/metrics.json") => {
-            let body = registry_body(shared);
-            respond(shared, &mut stream, ctx, 200, "application/json", &[], body.as_bytes());
-        }
-        ("GET", "/trace") => {
-            let body = shared.spans.to_jsonl();
-            respond(shared, &mut stream, ctx, 200, "application/x-ndjson", &[], body.as_bytes());
-        }
-        ("GET", "/healthz") => {
-            respond(shared, &mut stream, ctx, 200, "text/plain", &[], b"ok\n");
-        }
-        ("GET", "/experiments") => {
-            let body = experiments_body();
-            respond(shared, &mut stream, ctx, 200, "application/json", &[], body.as_bytes());
-        }
-        ("POST", "/shutdown") => {
-            respond(shared, &mut stream, ctx, 200, "text/plain", &[], b"shutting down\n");
-            initiate_shutdown(shared);
-        }
-        (
-            _,
-            "/run" | "/metrics" | "/metrics.json" | "/trace" | "/healthz" | "/experiments"
-            | "/shutdown",
-        ) => {
-            respond_error(shared, &mut stream, ctx, 405, "method not allowed");
-        }
-        _ => respond_error(shared, &mut stream, ctx, 404, "no such endpoint"),
-    }
-}
-
-/// `GET /metrics.json`: the legacy registry snapshot — service counters
-/// plus the result cache's eviction count, rendered as deterministic
-/// `hbc-probe` JSON.
-fn registry_body(shared: &Shared) -> String {
-    let mut reg = shared.metrics.to_registry();
-    reg.counter("serve.cache.evictions").set(shared.cache.evictions());
-    reg.to_json()
-}
-
-/// `GET /experiments`: what the service can run.
-fn experiments_body() -> String {
-    let experiments = ExperimentId::ALL.map(|id| Json::Str(id.name().to_string())).to_vec();
-    let presets = [Preset::Fast, Preset::Standard, Preset::Full]
-        .map(|p| Json::Str(p.name().to_string()))
-        .to_vec();
-    let mut obj = BTreeMap::new();
-    obj.insert("experiments".to_string(), Json::Arr(experiments));
-    obj.insert("presets".to_string(), Json::Arr(presets));
-    Json::Obj(obj).render()
-}
-
-fn handle_run(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    ctx: ReqCtx,
-    deadline: Instant,
-    request: &Request,
-) {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            respond_error(shared, stream, ctx, 400, "request body is not UTF-8");
-            return;
-        }
-    };
-    let mut run = match RunRequest::from_json_text(text) {
-        Ok(run) => run,
-        Err(err) => {
-            respond_error(shared, stream, ctx, 400, &err.to_string());
-            return;
-        }
-    };
-    // `jobs` is execution-only (absent from the cache key); clamp it so a
-    // request cannot commandeer the host.
-    if run.jobs > shared.max_jobs {
-        run.jobs = shared.max_jobs;
-    }
-    let hash = run.spec_hash();
-    let canonical = run.canonical();
-
-    let lookup_start_us = shared.spans.now_us();
-    let cached = shared.cache.get(&hash, &canonical);
-    let lookup_end_us = shared.spans.now_us();
-    shared.spans.record_at("serve.cache_lookup", ctx.request_id, 0, lookup_start_us, lookup_end_us);
-    if let Some((body, tier)) = cached {
-        let (label, counter) = match tier {
-            Tier::Memory => ("hit-memory", &shared.metrics.cache_hits_memory),
-            Tier::Disk => ("hit-disk", &shared.metrics.cache_hits_disk),
-        };
-        counter.inc();
-        let headers = [("X-Cache", label), ("X-Spec-Hash", hash.as_str())];
-        respond(shared, stream, ctx, 200, "text/plain", &headers, body.as_bytes());
-        return;
-    }
-
-    // Single-flight: the first requester for this hash leads and
-    // executes; concurrent identical requests wait on the same flight.
-    let (flight, leader) = {
-        let mut in_flight = lock(&shared.in_flight);
-        match in_flight.get(&hash) {
-            Some(flight) => (Arc::clone(flight), false),
-            None => {
-                let flight = Arc::new(Flight::new());
-                in_flight.insert(hash.clone(), Arc::clone(&flight));
-                (flight, true)
-            }
-        }
-    };
-    if leader {
-        shared.metrics.cache_misses.inc();
-        spawn_runner(shared, run, hash.clone(), canonical, ctx.request_id, Arc::clone(&flight));
-    } else {
-        shared.metrics.coalesced.inc();
-    }
-
-    let cache_label = if leader { "miss" } else { "coalesced" };
-    let wait_start_us = shared.spans.now_us();
-    let outcome = flight.wait(deadline);
-    let wait_end_us = shared.spans.now_us();
-    shared.spans.record_at(
-        "serve.single_flight_wait",
-        ctx.request_id,
-        0,
-        wait_start_us,
-        wait_end_us,
-    );
-    match outcome {
-        FlightWait::Done(body) => {
-            let headers = [("X-Cache", cache_label), ("X-Spec-Hash", hash.as_str())];
-            respond(shared, stream, ctx, 200, "text/plain", &headers, body.as_bytes());
-        }
-        FlightWait::Failed(message) => {
-            respond_error(shared, stream, ctx, 500, &message);
-        }
-        FlightWait::TimedOut => {
-            respond_error(
-                shared,
-                stream,
-                ctx,
-                504,
-                "simulation exceeded the request timeout; it continues into the result cache \
-                 — retry to fetch it",
-            );
-        }
-    }
-}
-
-/// Spawns the detached thread that runs one simulation and completes its
-/// [`Flight`]. The runner finishes even if every waiter times out, so the
-/// result still lands in the cache and a retry is a hit.
-fn spawn_runner(
-    shared: &Arc<Shared>,
-    run: RunRequest,
-    hash: String,
-    canonical: String,
-    request_id: u64,
-    flight: Arc<Flight>,
-) {
-    let runner_shared = Arc::clone(shared);
-    let flight_on_error = Arc::clone(&flight);
-    let hash_on_error = hash.clone();
-    let spawned =
-        std::thread::Builder::new().name("hbc-serve-runner".to_string()).spawn(move || {
-            runner_shared.metrics.exec_runs.inc();
-            let sim_start_us = runner_shared.spans.now_us();
-            let result = catch_unwind(AssertUnwindSafe(|| run.execute()));
-            // The simulate span carries the leader's request ID; coalesced
-            // followers share this one simulation, so their traces show a
-            // single-flight wait instead.
-            runner_shared.spans.record_at(
-                "serve.simulate",
-                request_id,
-                0,
-                sim_start_us,
-                runner_shared.spans.now_us(),
-            );
-            match result {
-                Ok(body) => {
-                    if let Err(e) = runner_shared.cache.put(&hash, &canonical, &body) {
-                        eprintln!("hbc-serve: persisting cache entry {hash} failed: {e}");
-                    }
-                    lock(&runner_shared.in_flight).remove(&hash);
-                    flight.finish(FlightState::Done(body));
-                }
-                Err(_) => {
-                    lock(&runner_shared.in_flight).remove(&hash);
-                    flight.finish(FlightState::Failed(format!(
-                        "simulation for spec {hash} panicked; see server logs"
-                    )));
-                }
-            }
-        });
-    if let Err(e) = spawned {
-        lock(&shared.in_flight).remove(&hash_on_error);
-        flight_on_error.finish(FlightState::Failed(format!("cannot spawn runner thread: {e}")));
+        Front::start(front, backend, metrics, spans)
     }
 }
 
@@ -636,27 +365,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn error_bodies_are_valid_json() {
-        let body = error_body(400, "field `seed`: expected \"quote\"");
-        let v = Json::parse(&body).expect("envelope parses");
-        assert_eq!(v.as_obj().unwrap()["status"].as_u64(), Some(400));
-    }
-
-    #[test]
-    fn experiments_body_lists_everything() {
-        let v = Json::parse(&experiments_body()).unwrap();
-        let obj = v.as_obj().unwrap();
-        assert!(matches!(&obj["experiments"], Json::Arr(a) if a.len() == 10));
-        assert!(matches!(&obj["presets"], Json::Arr(a) if a.len() == 3));
-    }
-
-    #[test]
     fn flight_wait_times_out_and_completes() {
         let flight = Flight::new();
         let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(matches!(flight.wait(deadline), FlightWait::TimedOut));
+        assert!(matches!(flight.wait(Some(deadline)), FlightState::Running));
         flight.finish(FlightState::Done("x".to_string()));
         let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(matches!(flight.wait(deadline), FlightWait::Done(b) if b == "x"));
+        assert!(matches!(flight.wait(Some(deadline)), FlightState::Done(b) if b == "x"));
+        assert!(matches!(flight.wait(None), FlightState::Done(b) if b == "x"));
     }
 }
