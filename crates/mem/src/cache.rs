@@ -23,33 +23,19 @@ pub struct CacheArray {
     /// `sets - 1`: the set count is a validated power of two, so indexing
     /// is a mask rather than a hardware divide in the touch hot path.
     set_mask: u64,
-    /// `ways[set * assoc + way]`: tag and LRU stamp interleaved so one
-    /// set's ways share cache lines. A megabyte-scale simulated cache has
-    /// megabytes of tag state; splitting tags and stamps into separate
-    /// arrays would cost two host cache misses per touch instead of one.
-    ways: Vec<Way>,
-    clock: u64,
+    /// `ways[set * assoc..][..assoc]`: one set's resident line indices in
+    /// recency order, most recently used first, with every valid way
+    /// ahead of every [`INVALID`] one. The order is the LRU state, so a
+    /// way is just its 8-byte tag: no per-way stamp and no global clock.
+    /// That halves a megabyte-scale array's tag state and its warm
+    /// snapshots, and lets one sweep keep a whole range of cache sizes
+    /// live at once.
+    ways: Vec<u64>,
 }
 
-/// One cache way: the resident line index (or [`Way::INVALID`]) plus its
-/// last-use stamp.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Way {
-    tag: u64,
-    stamp: u64,
-}
-
-impl Way {
-    /// Sentinel for an empty way. Line indices are addresses shifted right
-    /// by the line-offset bits, so `u64::MAX` can never collide with one.
-    const INVALID: u64 = u64::MAX;
-
-    const EMPTY: Way = Way { tag: Way::INVALID, stamp: 0 };
-
-    fn line(&self) -> Option<u64> {
-        (self.tag != Way::INVALID).then_some(self.tag)
-    }
-}
+/// Sentinel for an empty way. Line indices are addresses shifted right by
+/// the line-offset bits, so `u64::MAX` can never collide with one.
+const INVALID: u64 = u64::MAX;
 
 impl Clone for CacheArray {
     fn clone(&self) -> Self {
@@ -66,7 +52,6 @@ impl Clone for CacheArray {
         self.line_bytes = source.line_bytes;
         self.sets = source.sets;
         self.set_mask = source.set_mask;
-        self.clock = source.clock;
     }
 }
 
@@ -91,8 +76,7 @@ impl CacheArray {
             line_bytes,
             sets,
             set_mask: sets - 1,
-            ways: vec![Way::EMPTY; (sets * u64::from(assoc)) as usize],
-            clock: 0,
+            ways: vec![INVALID; (sets * u64::from(assoc)) as usize],
         }
     }
 
@@ -116,21 +100,18 @@ impl CacheArray {
         self.sets
     }
 
-    fn set_of(&self, line: u64) -> u64 {
-        line & self.set_mask
-    }
-
-    fn ways(&self, set: u64) -> std::ops::Range<usize> {
-        let base = (set * u64::from(self.assoc)) as usize;
-        base..base + self.assoc as usize
+    /// The line index of `addr` and the range of its set's ways.
+    fn locate(&self, addr: u64) -> (u64, std::ops::Range<usize>) {
+        let line = line_index(addr, self.line_bytes);
+        let base = ((line & self.set_mask) * u64::from(self.assoc)) as usize;
+        (line, base..base + self.assoc as usize)
     }
 
     /// `true` if the line containing `addr` is present (does not update
     /// LRU state).
     pub fn probe(&self, addr: u64) -> bool {
-        let line = line_index(addr, self.line_bytes);
-        let set = self.set_of(line);
-        self.ways(set).any(|w| self.ways[w].tag == line)
+        let (line, set) = self.locate(addr);
+        self.ways[set].contains(&line)
     }
 
     /// Accesses `addr`: on a hit, updates LRU and returns `true`; on a
@@ -144,50 +125,40 @@ impl CacheArray {
 
     /// Like [`CacheArray::touch`] but also reports any evicted line.
     pub fn touch_evict(&mut self, addr: u64) -> TouchResult {
-        self.clock += 1;
-        let line = line_index(addr, self.line_bytes);
-        let set = self.set_of(line);
-        for w in self.ways(set) {
-            if self.ways[w].tag == line {
-                self.ways[w].stamp = self.clock;
-                return TouchResult { hit: true, evicted: None };
-            }
+        let (line, set) = self.locate(addr);
+        let ways = &mut self.ways[set];
+        // A hit at `p` moves the line to the front. A miss drops the LRU
+        // tail, which is an invalid way if the set has one, and puts the
+        // new line at the front. Both shift `ways[..p]` back by one.
+        let hit_at = ways.iter().position(|&w| w == line);
+        let p = hit_at.unwrap_or(ways.len() - 1);
+        let victim = ways[p];
+        ways.copy_within(..p, 1);
+        ways[0] = line;
+        match hit_at {
+            Some(_) => TouchResult { hit: true, evicted: None },
+            None => TouchResult { hit: false, evicted: (victim != INVALID).then_some(victim) },
         }
-        // Miss: fill the invalid or least recently used way. Every set has
-        // at least one way (associativity is validated non-zero), so the
-        // fold over ways always yields a victim without a panic path.
-        let mut victim = (set * u64::from(self.assoc)) as usize;
-        let mut victim_key = (u8::MAX, u64::MAX);
-        for w in self.ways(set) {
-            let key =
-                if self.ways[w].tag == Way::INVALID { (0, 0) } else { (1, self.ways[w].stamp) };
-            if key < victim_key {
-                victim = w;
-                victim_key = key;
-            }
-        }
-        let evicted = self.ways[victim].line();
-        self.ways[victim] = Way { tag: line, stamp: self.clock };
-        TouchResult { hit: false, evicted }
     }
 
     /// Removes the line containing `addr` if present; returns whether it
     /// was.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let line = line_index(addr, self.line_bytes);
-        let set = self.set_of(line);
-        for w in self.ways(set) {
-            if self.ways[w].tag == line {
-                self.ways[w] = Way::EMPTY;
-                return true;
-            }
-        }
-        false
+        let (line, set) = self.locate(addr);
+        let ways = &mut self.ways[set];
+        let Some(p) = ways.iter().position(|&w| w == line) else {
+            return false;
+        };
+        // Close the gap and park the freed way at the tail, behind every
+        // valid way.
+        ways.copy_within(p + 1.., p);
+        ways[ways.len() - 1] = INVALID;
+        true
     }
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> u64 {
-        self.ways.iter().filter(|w| w.tag != Way::INVALID).count() as u64
+        self.ways.iter().filter(|&&w| w != INVALID).count() as u64
     }
 }
 
@@ -301,6 +272,150 @@ mod tests {
         other.clone_from(&warm);
         assert_eq!(other, warm);
         assert_eq!((other.size_bytes(), other.assoc(), other.line_bytes()), (4096, 2, 32));
+    }
+
+    /// The stamp-based array this one replaced: every way carries its
+    /// last-use stamp from a global clock, a miss fills the first invalid
+    /// way or else the smallest stamp. Kept as the reference model for the
+    /// recency-ordered sets.
+    #[derive(Clone)]
+    struct StampArray {
+        assoc: usize,
+        line_bytes: u64,
+        set_mask: u64,
+        ways: Vec<(u64, u64)>,
+        clock: u64,
+    }
+
+    impl StampArray {
+        fn new(size_bytes: u64, assoc: u32, line_bytes: u64) -> Self {
+            let sets = size_bytes / line_bytes / u64::from(assoc);
+            let ways = vec![(INVALID, 0); (sets * u64::from(assoc)) as usize];
+            StampArray { assoc: assoc as usize, line_bytes, set_mask: sets - 1, ways, clock: 0 }
+        }
+
+        fn set(&self, addr: u64) -> (u64, std::ops::Range<usize>) {
+            let line = line_index(addr, self.line_bytes);
+            let base = (line & self.set_mask) as usize * self.assoc;
+            (line, base..base + self.assoc)
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let (line, set) = self.set(addr);
+            self.ways[set].iter().any(|w| w.0 == line)
+        }
+
+        fn touch_evict(&mut self, addr: u64) -> TouchResult {
+            self.clock += 1;
+            let (line, set) = self.set(addr);
+            if let Some(w) = set.clone().find(|&w| self.ways[w].0 == line) {
+                self.ways[w].1 = self.clock;
+                return TouchResult { hit: true, evicted: None };
+            }
+            let victim = set
+                .min_by_key(|&w| match self.ways[w] {
+                    (INVALID, _) => (0, 0),
+                    (_, stamp) => (1, stamp),
+                })
+                .unwrap();
+            let evicted = (self.ways[victim].0 != INVALID).then_some(self.ways[victim].0);
+            self.ways[victim] = (line, self.clock);
+            TouchResult { hit: false, evicted }
+        }
+
+        fn invalidate(&mut self, addr: u64) -> bool {
+            let (line, set) = self.set(addr);
+            match set.into_iter().find(|&w| self.ways[w].0 == line) {
+                Some(w) => {
+                    self.ways[w] = (INVALID, 0);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn occupancy(&self) -> u64 {
+            self.ways.iter().filter(|w| w.0 != INVALID).count() as u64
+        }
+    }
+
+    /// A random address over a footprint of a few times the cache's lines,
+    /// so streams mix hits, conflict misses and invalidations of residents.
+    fn addr(g: &mut hbc_ptest::Gen, lines: u64, line_bytes: u64) -> u64 {
+        g.u64_below(lines * 3) * line_bytes + g.u64_below(line_bytes)
+    }
+
+    #[test]
+    fn recency_order_matches_the_stamp_model() {
+        hbc_ptest::check("cache matches stamp model", 128, |g| {
+            let assoc = *g.pick(&[1u32, 2, 4, 8]);
+            let line_bytes = *g.pick(&[16u64, 32, 64]);
+            let sets = *g.pick(&[1u64, 2, 4, 16]);
+            let size = sets * u64::from(assoc) * line_bytes;
+            let lines = size / line_bytes;
+            let mut cache = CacheArray::new(size, assoc, line_bytes);
+            let mut model = StampArray::new(size, assoc, line_bytes);
+            // A snapshot pair taken mid-stream, restored by `clone_from`.
+            let mut saved = (cache.clone(), model.clone());
+            for _ in 0..g.usize_in(1, 600) {
+                let a = addr(g, lines, line_bytes);
+                match g.u64_below(10) {
+                    0..=3 => assert_eq!(cache.touch(a), model.touch_evict(a).hit),
+                    4..=6 => assert_eq!(cache.touch_evict(a), model.touch_evict(a)),
+                    7 => assert_eq!(cache.probe(a), model.probe(a)),
+                    8 => assert_eq!(cache.invalidate(a), model.invalidate(a)),
+                    _ if g.bool() => saved = (cache.clone(), model.clone()),
+                    _ => {
+                        cache.clone_from(&saved.0);
+                        model = saved.1.clone();
+                    }
+                }
+                assert_eq!(cache.occupancy(), model.occupancy());
+            }
+            for i in 0..lines * 3 {
+                assert_eq!(cache.probe(i * line_bytes), model.probe(i * line_bytes));
+            }
+        });
+    }
+
+    #[test]
+    fn valid_ways_precede_invalid_ones() {
+        hbc_ptest::check("valid ways first", 64, |g| {
+            let assoc = *g.pick(&[1u32, 2, 4, 8]);
+            let mut cache = CacheArray::new(4 * u64::from(assoc) * 32, assoc, 32);
+            for _ in 0..g.usize_in(1, 300) {
+                let a = addr(g, 4 * u64::from(assoc), 32);
+                if g.u64_below(3) == 0 {
+                    cache.invalidate(a);
+                } else {
+                    cache.touch(a);
+                }
+                for set in cache.ways.chunks(assoc as usize) {
+                    let valid = set.iter().take_while(|&&w| w != INVALID).count();
+                    assert!(set[valid..].iter().all(|&w| w == INVALID), "{set:?}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn larger_caches_include_smaller_ones() {
+        // Same associativity and line size, more sets: LRU is a stack
+        // algorithm and each larger set refines a smaller one, so every
+        // hit in the smaller cache is a hit in the larger.
+        hbc_ptest::check("cache inclusion", 96, |g| {
+            let assoc = *g.pick(&[1u32, 2, 4, 8]);
+            let sets = *g.pick(&[1u64, 2, 4, 8]);
+            let small_size = sets * u64::from(assoc) * 32;
+            let mut small = CacheArray::new(small_size, assoc, 32);
+            let mut large = CacheArray::new(small_size << g.u32_in(1, 3), assoc, 32);
+            let footprint = 4 * small_size / 32;
+            for _ in 0..g.usize_in(1, 800) {
+                let a = addr(g, footprint, 32);
+                let (hit_small, hit_large) = (small.touch(a), large.touch(a));
+                assert!(!hit_small || hit_large, "inclusion broken at {a:#x}");
+            }
+        });
     }
 
     #[test]
