@@ -3,8 +3,8 @@
 //! The simulator's core contract — every simulation is a pure function of
 //! (configuration, seed), served by a process that never deadlocks and
 //! never silently drops a counter — is not something the compiler checks.
-//! This crate does, with twelve rules over a small semantic model of the
-//! workspace:
+//! This crate checks what the type system cannot, with the rules in
+//! [`RULES`] over a small semantic model of the workspace:
 //!
 //! * [`lexer`] turns each file into a token stream with line numbers and
 //!   brace-nesting depth;
@@ -52,7 +52,7 @@ pub struct RuleInfo {
     pub explain: &'static str,
 }
 
-/// The twelve rules, in the order `run_all` executes them. This table is the
+/// Every rule, in the order `run_all` executes them. This table is the
 /// single source of truth: the crate docs, the CLI's `explain`, the JSON
 /// schema's `rules` array, and the README table all derive from it.
 pub const RULES: &[RuleInfo] = &[
@@ -138,7 +138,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "probe-coverage",
-        summary: "probe registrations/reads cross-check; span stages must be in STAGE_NAMES",
+        summary: "probe registrations must be used and probe reads must name a registered probe",
         explain: "A counter registered but never incremented reads zero in /metrics forever; \
                   a read of a name nothing registers silently yields nothing. The rule \
                   cross-references every literal probe name in the workspace: registration \
@@ -146,26 +146,8 @@ pub const RULES: &[RuleInfo] = &[
                   (.inc/.add/.set/.record) or bind it for later writes, exact reads \
                   (get(\"…\")/get_histogram(\"…\")) and prefix reads (scoped(\"…\")) must \
                   match a registered name, and a name must not be registered as a counter \
-                  but read as a histogram (or vice versa). Span stages get the same \
-                  closed-world check: a literal stage at an enter(\"…\")/record_at(\"…\")/\
-                  record_since(\"…\")/record_linked(\"…\") site must appear in the \
-                  STAGE_NAMES table, which is \
-                  read straight from its initializer — an unregistered stage panics debug \
-                  builds at the recording site. Runtime-built names are outside the scan; \
-                  audit those reads with hbc-allow.",
-    },
-    RuleInfo {
-        name: "event-horizon",
-        summary: "sim types with tick/cycle methods must answer next_event queries",
-        explain: "The simulation loop fast-forwards through stall spans by taking the \
-                  minimum of every timed component's `next_event(now)` and jumping there. \
-                  The jump is only sound if the query surface is complete: a type in a \
-                  simulation crate with a `tick`/`step`/`begin_cycle`/`end_cycle` method \
-                  but no `next_event` is invisible to the horizon, and the engine may skip \
-                  straight past its next state change. Implement \
-                  `fn next_event(&self, now: u64) -> Option<u64>` — untimed components \
-                  return None, documenting the decision — or audit a component the loop \
-                  drains inline with hbc-allow.",
+                  but read as a histogram (or vice versa). Runtime-built names are outside \
+                  the scan; audit those reads with hbc-allow.",
     },
     RuleInfo {
         name: "cast-truncation",
@@ -177,19 +159,6 @@ pub const RULES: &[RuleInfo] = &[
                   identifier is a finding. Fix by keeping the value in its newtype or u64, \
                   converting with u64::from/try_from at the boundary, or auditing a \
                   genuinely bounded cast with hbc-allow.",
-    },
-    RuleInfo {
-        name: "wire-coverage",
-        summary: "every wire-protocol frame kind (Msg variant) is exercised by a test",
-        explain: "The cluster wire protocol is a closed enum: each Msg variant is one frame \
-                  kind with its own encode/decode path. The property suite's random-message \
-                  generator and round-trip lists are maintained by hand, so a newly added \
-                  frame kind can compile and ship without ever passing through the codec \
-                  under test — its decoder path stays dead until a peer sends it in \
-                  production. The rule requires every variant of a non-test `enum Msg` to be \
-                  mentioned as `Msg::<Variant>` on at least one test line (construction, \
-                  match, or assertion all count). Add new kinds to the wire property suite, \
-                  or audit a deliberately untested variant with hbc-allow.",
     },
 ];
 
@@ -260,9 +229,7 @@ pub fn run_all(
     findings.extend(rules::serve_io_panic::check(&model));
     findings.extend(rules::lock_discipline::check(&model));
     findings.extend(rules::probe_coverage::check(&model));
-    findings.extend(rules::event_horizon::check(&model));
     findings.extend(rules::cast_truncation::check(&model));
-    findings.extend(rules::wire_coverage::check(&model));
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     findings
 }
@@ -331,7 +298,7 @@ mod tests {
 
     #[test]
     fn rules_table_is_complete_and_consistent() {
-        assert_eq!(RULES.len(), 12);
+        assert_eq!(RULES.len(), 10);
         // Names are unique, kebab-case, and resolvable.
         for (i, rule) in RULES.iter().enumerate() {
             assert!(rule.name.chars().all(|c| c.is_ascii_lowercase() || c == '-'));

@@ -8,7 +8,7 @@
 //! * `cargo run -p hbc-analyze -- baseline` — rewrite the panic-path
 //!   baseline from the current source (use after reducing panic sites).
 //! * `cargo run -p hbc-analyze -- explain <rule>` — print a rule's full
-//!   explanation; with no rule, list all twelve.
+//!   explanation; with no rule, list them all.
 //! * `cargo run -p hbc-analyze -- allows` — list every `hbc-allow` /
 //!   `hbc-allow-file` audit site with its justification; exits 1 if any
 //!   site lacks one.

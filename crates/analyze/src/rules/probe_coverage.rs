@@ -21,15 +21,6 @@
 //! * a `scoped("prefix")` view must match at least one registered name
 //!   under `prefix.`.
 //!
-//! The same closed-world check covers span stages: a literal stage name
-//! at an `enter("…")` / `record_at("…", …)` / `record_since("…", …)` /
-//! `record_linked("…", …)` site
-//! must appear in the `STAGE_NAMES` table (`hbc_probe::span`). A stage
-//! missing from the table panics debug builds at the recording site and
-//! ships unregistered stages in release traces; the lint catches the typo
-//! before either happens. The table's contents are read straight from the
-//! `STAGE_NAMES` initializer, so adding a stage there is all it takes.
-//!
 //! Only literals that are valid dotted probe names participate, so string
 //! lookups on unrelated maps (e.g. JSON fields like `get("experiment")`)
 //! never fire. Names built at runtime are outside the scanner's reach,
@@ -39,7 +30,7 @@ use crate::lexer::TokKind;
 use crate::model::Model;
 use crate::rules::probe_naming::valid;
 use crate::Finding;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// What a name was registered as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,30 +99,6 @@ fn handle_used(model: &Model<'_>, site: &Site) -> bool {
         Some(t) => !t.is_punct(';'),
         None => true,
     }
-}
-
-/// Collects the registered span stages: every string literal inside a
-/// `STAGE_NAMES` initializer (from the identifier to the end of its
-/// statement), across the model. References without literals
-/// (`STAGE_NAMES.contains(…)`) contribute nothing.
-fn stage_table(model: &Model<'_>) -> BTreeSet<String> {
-    let mut stages = BTreeSet::new();
-    for (fi, fm) in model.files.iter().enumerate() {
-        for (ti, tok) in fm.tokens.iter().enumerate() {
-            if !tok.is_ident("STAGE_NAMES") || model.is_test_line(fi, tok.line) {
-                continue;
-            }
-            for t in &fm.tokens[ti + 1..] {
-                if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-                    break;
-                }
-                if t.kind == TokKind::Str {
-                    stages.insert(t.text.clone());
-                }
-            }
-        }
-    }
-    stages
 }
 
 /// Runs the rule over the workspace model.
@@ -227,33 +194,6 @@ pub fn check(model: &Model<'_>) -> Vec<Finding> {
         }
     }
 
-    // Span stages: a literal stage at a recording site must be in the
-    // `STAGE_NAMES` table. Skipped entirely when the model has no table
-    // (a workspace without the span subsystem has nothing to check).
-    let stages = stage_table(model);
-    if !stages.is_empty() {
-        for marker in ["enter", "record_at", "record_since", "record_linked"] {
-            for site in sites(model, marker) {
-                if !valid(&site.name) || model.allowed(site.fi, site.line, "probe-coverage") {
-                    continue;
-                }
-                if !stages.contains(&site.name) {
-                    findings.push(Finding {
-                        rule: "probe-coverage",
-                        path: model.sources[site.fi].path.clone(),
-                        line: site.line,
-                        message: format!(
-                            "`{marker}({:?})` records a span stage missing from STAGE_NAMES — \
-                             debug builds panic at this site and release traces carry an \
-                             unregistered stage; add it to the table or fix the name",
-                            site.name
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
     findings
 }
 
@@ -335,44 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn span_stage_literals_must_be_in_the_table() {
-        let table = "pub const STAGE_NAMES: &[&str] = &[\"serve.parse\", \"exec.run\"];\n";
-        let ok = format!(
-            "{table}fn f(spans: &S) {{\n    let _g = enter(\"exec.run\");\n    \
-             record_since(\"exec.run\", 0);\n    \
-             spans.record_at(\"serve.parse\", 1, 0, 10, 250);\n    \
-             spans.record_linked(\"exec.run\", 7, 1, 0, 10, 250);\n}}\n"
-        );
-        assert!(run(&ok).is_empty());
-        let bad = format!("{table}fn f() {{\n    let _g = enter(\"serve.parze\");\n}}\n");
-        let f = run(&bad);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("missing from STAGE_NAMES"));
-        let bad_linked = format!(
-            "{table}fn f(s: &S) {{\n    s.record_linked(\"exec.rum\", 7, 1, 0, 1, 2);\n}}\n"
-        );
-        let f = run(&bad_linked);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("record_linked"));
-    }
-
-    #[test]
-    fn span_checks_are_silent_without_a_table_and_skip_non_dotted_names() {
-        // No STAGE_NAMES in the model: nothing to check against.
-        assert!(run("fn f() {\n    let _g = enter(\"not.in.any.table\");\n}\n").is_empty());
-        // Non-dotted literals are not stage names (unrelated `enter` APIs).
-        let table = "pub const STAGE_NAMES: &[&str] = &[\"serve.parse\"];\n";
-        assert!(run(&format!("{table}fn f(m: &M) {{\n    m.enter(\"once\");\n}}\n")).is_empty());
-    }
-
-    #[test]
     fn fixtures_match_expectations() {
-        for sub in ["probe_coverage", "span_coverage"] {
-            let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(sub);
-            let bad = std::fs::read_to_string(dir.join("violation.rs")).unwrap();
-            let ok = std::fs::read_to_string(dir.join("allowed.rs")).unwrap();
-            assert!(!run(&bad).is_empty(), "{sub}/violation.rs should fire");
-            assert!(run(&ok).is_empty(), "{sub}/allowed.rs should be clean");
-        }
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/probe_coverage");
+        let bad = std::fs::read_to_string(dir.join("violation.rs")).unwrap();
+        let ok = std::fs::read_to_string(dir.join("allowed.rs")).unwrap();
+        assert!(!run(&bad).is_empty(), "violation.rs should fire");
+        assert!(run(&ok).is_empty(), "allowed.rs should be clean");
     }
 }

@@ -28,7 +28,7 @@ fn schema_v1_snapshot() {
         "{\"version\":1,",
         "\"rules\":[\"determinism\",\"exec-merge\",\"units\",\"config-validate\",\"panic\",",
         "\"probe-naming\",\"serve-io-panic\",\"lock-discipline\",\"probe-coverage\",",
-        "\"event-horizon\",\"cast-truncation\",\"wire-coverage\"],",
+        "\"cast-truncation\"],",
         "\"files_scanned\":126,",
         "\"findings\":[",
         "{\"rule\":\"determinism\",\"path\":\"crates/mem/src/lib.rs\",\"line\":12,",
@@ -59,5 +59,5 @@ fn rules_array_tracks_the_rules_table() {
             rule.name
         );
     }
-    assert_eq!(RULES.len(), 12);
+    assert_eq!(RULES.len(), 10);
 }

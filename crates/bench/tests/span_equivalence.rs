@@ -3,14 +3,11 @@
 //! uninstalled, serial and `--jobs 4`.
 //!
 //! This is the observability analogue of `exec_equivalence`: spans are
-//! metadata the simulation never reads, so recording them — or compiling
-//! them out entirely — cannot change a single simulated byte. The tests
-//! run with and without `--features span`; without it the sink stubs are
-//! no-ops and the "enabled" arm degenerates to the plain run, which must
-//! *still* be identical.
+//! metadata the simulation never reads, so recording them cannot change
+//! a single simulated byte.
 
 use hbc_core::experiments::{fig5, fig6, ExpParams};
-use hbc_core::{spans, Benchmark};
+use hbc_core::{spans, Benchmark, Stage};
 use std::sync::Mutex;
 
 /// The span sink is process-global, so the tests in this binary must not
@@ -73,7 +70,6 @@ fn probe_exports_are_identical_with_and_without_spans() {
     }
 }
 
-#[cfg(feature = "span")]
 #[test]
 fn span_log_carries_the_expected_stages() {
     let _guard = serialized();
@@ -83,19 +79,22 @@ fn span_log_carries_the_expected_stages() {
     // the simulation phases nest under it.
     let (_, serial) = with_sink(|| fig6::run(&reduced_params(1)));
     let records = serial.snapshot();
-    let stages: BTreeSet<&str> = records.iter().map(|r| r.stage).collect();
-    for stage in ["exec.run", "sim.warm_up", "sim.measured"] {
-        assert!(stages.contains(stage), "missing {stage} in serial run: {stages:?}");
+    let stages: BTreeSet<Stage> = records.iter().map(|r| r.stage).collect();
+    for stage in [Stage::ExecRun, Stage::SimWarmUp, Stage::SimMeasured] {
+        assert!(stages.contains(&stage), "missing {stage:?} in serial run: {stages:?}");
     }
-    for r in &records {
-        assert!(hbc_core::is_registered_stage(r.stage), "unregistered stage {:?}", r.stage);
-        assert!(r.span > 0, "span IDs are never zero");
+    assert!(records.iter().all(|r| r.span > 0), "span IDs are never zero");
+    // The JSONL export names every stage by a name `Stage::parse` reads
+    // back, as a `/trace` consumer would.
+    for line in serial.to_jsonl().lines() {
+        let name = line.split("\"stage\":\"").nth(1).and_then(|rest| rest.split('"').next());
+        assert!(name.and_then(Stage::parse).is_some(), "unparseable stage in {line}");
     }
     // Simulation phases are children of the cell's exec.run span within
     // the same request.
     let runs: BTreeSet<(u64, u64)> =
-        records.iter().filter(|r| r.stage == "exec.run").map(|r| (r.request, r.span)).collect();
-    let measured: Vec<_> = records.iter().filter(|r| r.stage == "sim.measured").collect();
+        records.iter().filter(|r| r.stage == Stage::ExecRun).map(|r| (r.request, r.span)).collect();
+    let measured: Vec<_> = records.iter().filter(|r| r.stage == Stage::SimMeasured).collect();
     assert!(!measured.is_empty());
     for m in &measured {
         assert!(
@@ -107,29 +106,10 @@ fn span_log_carries_the_expected_stages() {
     // Parallel adds the engine stages; timings differ but stage coverage
     // and nesting discipline hold.
     let (_, parallel) = with_sink(|| fig6::run(&reduced_params(4)));
-    let stages: BTreeSet<&str> = parallel.snapshot().iter().map(|r| r.stage).collect();
-    for stage in ["exec.steal", "exec.run", "exec.merge", "sim.warm_up", "sim.measured"] {
-        assert!(stages.contains(stage), "missing {stage} in parallel run: {stages:?}");
+    let stages: BTreeSet<Stage> = parallel.snapshot().iter().map(|r| r.stage).collect();
+    for stage in
+        [Stage::ExecSteal, Stage::ExecRun, Stage::ExecMerge, Stage::SimWarmUp, Stage::SimMeasured]
+    {
+        assert!(stages.contains(&stage), "missing {stage:?} in parallel run: {stages:?}");
     }
-}
-
-#[cfg(not(feature = "span"))]
-#[test]
-fn span_stubs_record_nothing() {
-    let _guard = serialized();
-    let ((), log) = with_sink(|| {
-        fig5::run(&reduced_params(1));
-    });
-    // Cargo feature unification can switch `hbc-core/span` on for the
-    // whole build (e.g. `--features hbcache/span`) while this crate's
-    // own `span` feature — and this cfg — stay off. The stub contract
-    // is only in effect when the stub `install` answered, which is
-    // detectable: stubs return a capacity-0 log regardless of the
-    // capacity asked for.
-    if log.capacity() != 0 {
-        return;
-    }
-    assert!(log.is_empty(), "without --features span the sink must stay empty");
-    assert_eq!(spans::begin_request(), 0);
-    assert_eq!(spans::now_us(), 0);
 }

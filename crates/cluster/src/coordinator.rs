@@ -43,7 +43,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hbc_probe::Histogram;
+use hbc_probe::{Histogram, Stage};
 use hbc_serve::front::{Backend, Front, FrontConfig, FrontHandle, Responder};
 use hbc_serve::json::Json;
 use hbc_serve::lock;
@@ -434,7 +434,7 @@ fn handle_run(backend: &RemoteBackend, out: &mut Responder<'_, RemoteBackend>, b
     plan.extend(order.iter().filter(|&&i| backend.targets[i].healthy.load(Ordering::SeqCst)));
     plan.extend(order.iter().filter(|&&i| !backend.targets[i].healthy.load(Ordering::SeqCst)));
     let spans = out.spans();
-    spans.record_at("cluster.route", request_id, 0, route_start_us, spans.now_us());
+    spans.record_at(Stage::ClusterRoute, request_id, 0, route_start_us, spans.now_us());
 
     for (attempt, &index) in plan.iter().enumerate() {
         let target = &backend.targets[index];
@@ -462,7 +462,7 @@ fn handle_run(backend: &RemoteBackend, out: &mut Responder<'_, RemoteBackend>, b
         let outcome = wire::exchange(&target.addr, &run_msg, budget);
         let micros = u64::try_from(forward_start.elapsed().as_micros()).unwrap_or(u64::MAX);
         spans.record_linked(
-            "cluster.forward",
+            Stage::ClusterForward,
             forward_span,
             request_id,
             0,
@@ -675,7 +675,7 @@ mod tests {
         backend.targets[0].forwarded.inc();
         backend.targets[1].healthy.store(false, Ordering::SeqCst);
         assert!(backend.count_status(502), "502 is the coordinator's own row");
-        spans.record_at("cluster.route", 1, 0, 0, 5);
+        spans.record_at(Stage::ClusterRoute, 1, 0, 0, 5);
         let text = backend.prometheus(&front, &spans);
         let samples = parse_prometheus(&text).expect("strict parse succeeds");
         let healthy: Vec<f64> = samples

@@ -30,8 +30,8 @@ fn test_worker() -> Worker {
     Worker::bind(config).expect("worker binds")
 }
 
-fn test_coordinator(workers: &[&Worker]) -> Coordinator {
-    let config = CoordinatorConfig {
+fn test_config(workers: &[&Worker]) -> CoordinatorConfig {
+    CoordinatorConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: workers.iter().map(|w| w.addr().to_string()).collect(),
         handlers: 2,
@@ -39,8 +39,11 @@ fn test_coordinator(workers: &[&Worker]) -> Coordinator {
         wire_timeout: Duration::from_secs(10),
         probe_interval: Duration::from_millis(100),
         ..CoordinatorConfig::default()
-    };
-    Coordinator::bind(config).expect("coordinator binds")
+    }
+}
+
+fn test_coordinator(workers: &[&Worker]) -> Coordinator {
+    Coordinator::bind(test_config(workers)).expect("coordinator binds")
 }
 
 #[test]
@@ -181,37 +184,45 @@ fn killed_primary_fails_over_byte_identically() {
 fn federated_trace_stitches_a_failover_into_one_tree() {
     let w1 = test_worker();
     let w2 = test_worker();
-    let coordinator = test_coordinator(&[&w1, &w2]);
-    let addr = coordinator.addr();
     let names = vec![w1.addr().to_string(), w2.addr().to_string()];
-
-    // Kill the spec's rendezvous primary *before* the request: the
-    // coordinator still plans it first (the prober hasn't demoted it
-    // yet), so one request carries a failed forward and a failover
-    // retry — two `cluster.forward` spans under one request ID.
     let spec = mixed_request(11, 0);
     let order = ring::candidates(&spec.spec_hash(), &names);
     let (victim, survivor) = if order[0] == 0 { (&w1, &w2) } else { (&w2, &w1) };
     let survivor_port = u64::from(survivor.addr().port());
+
+    // The victim is listed first and the prober probes in list order, so
+    // once the survivor has answered a probe the victim's healthy verdict
+    // is stored, and the next probe round is minutes away (drain wakes
+    // the prober, so shutdown does not wait it out).
+    let coordinator = Coordinator::bind(CoordinatorConfig {
+        probe_interval: Duration::from_secs(600),
+        ..test_config(&[victim, survivor])
+    })
+    .expect("coordinator binds");
+    let addr = coordinator.addr();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while survivor.handle().served() == 0 {
+        assert!(Instant::now() < deadline, "the first probe round never reached the survivor");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Kill the spec's rendezvous primary *before* the request: the
+    // coordinator still plans it first, so one request carries a failed
+    // forward and a failover retry — two `cluster.forward` spans under
+    // one request ID.
     victim.handle().kill();
 
     let response = http().post(addr, "/run", spec.to_json().as_bytes()).expect("request completes");
     assert_eq!(response.status, 200, "failover must succeed: {}", response.text());
     assert_eq!(response.header("X-Worker"), Some(survivor.addr().to_string().as_str()));
 
-    // Wait for the prober to demote the dead worker so the federation
-    // pass deterministically polls only the survivor.
+    // The failed forward demoted the victim, so the federation pass
+    // polls only the survivor.
     let victim_name = victim.addr().to_string();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while coordinator
-        .handle()
-        .worker_health()
-        .iter()
-        .any(|(name, healthy)| *name == victim_name && *healthy)
-    {
-        assert!(Instant::now() < deadline, "prober never demoted the killed worker");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    assert!(
+        coordinator.handle().worker_health().contains(&(victim_name, false)),
+        "the failed forward must demote the killed worker"
+    );
 
     let fetched = http().get(addr, "/trace?federated=1").expect("federated trace fetch");
     assert_eq!(fetched.status, 200);

@@ -30,20 +30,44 @@ fn random_trace(g: &mut Gen) -> Option<TraceCtx> {
     }
 }
 
-/// A random message covering every frame kind.
+/// One payload-free message of every frame kind.
+fn kinds() -> [Msg; 11] {
+    let s = String::new;
+    [
+        Msg::Run { spec_json: s(), trace: None },
+        Msg::RunOk { cache: s(), spec_hash: s(), body: s() },
+        Msg::RunErr { status: 0, message: s() },
+        Msg::Health,
+        Msg::HealthOk { worker_id: s(), draining: false },
+        Msg::Stats,
+        Msg::StatsOk { pairs: Vec::new() },
+        Msg::Drain,
+        Msg::DrainOk { worker_id: s() },
+        Msg::Trace,
+        Msg::TraceOk { worker_id: s(), dropped: 0, jsonl: s() },
+    ]
+}
+
+/// A random message of a random frame kind. The match has no `_` arm,
+/// so a new `Msg` variant does not compile here until it has a
+/// generator; `kinds_cover_every_decodable_kind` checks it is picked.
 fn random_msg(g: &mut Gen) -> Msg {
-    match g.u32_in(1, 11) {
-        1 => Msg::Run { spec_json: random_string(g, 64), trace: random_trace(g) },
-        2 => Msg::RunOk {
+    match g.pick(&kinds()) {
+        Msg::Run { .. } => Msg::Run { spec_json: random_string(g, 64), trace: random_trace(g) },
+        Msg::RunOk { .. } => Msg::RunOk {
             cache: random_string(g, 12),
             spec_hash: random_string(g, 64),
             body: random_string(g, 256),
         },
-        3 => Msg::RunErr { status: g.u32_in(100, 599) as u16, message: random_string(g, 64) },
-        4 => Msg::Health,
-        5 => Msg::HealthOk { worker_id: random_string(g, 24), draining: g.bool() },
-        6 => Msg::Stats,
-        7 => {
+        Msg::RunErr { .. } => {
+            Msg::RunErr { status: g.u32_in(100, 599) as u16, message: random_string(g, 64) }
+        }
+        Msg::Health => Msg::Health,
+        Msg::HealthOk { .. } => {
+            Msg::HealthOk { worker_id: random_string(g, 24), draining: g.bool() }
+        }
+        Msg::Stats => Msg::Stats,
+        Msg::StatsOk { .. } => {
             let n = g.usize_in(0, 8);
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
@@ -51,14 +75,27 @@ fn random_msg(g: &mut Gen) -> Msg {
             }
             Msg::StatsOk { pairs }
         }
-        8 => Msg::Drain,
-        9 => Msg::DrainOk { worker_id: random_string(g, 24) },
-        10 => Msg::Trace,
-        _ => Msg::TraceOk {
+        Msg::Drain => Msg::Drain,
+        Msg::DrainOk { .. } => Msg::DrainOk { worker_id: random_string(g, 24) },
+        Msg::Trace => Msg::Trace,
+        Msg::TraceOk { .. } => Msg::TraceOk {
             worker_id: random_string(g, 24),
             dropped: g.next_u64(),
             jsonl: random_string(g, 256),
         },
+    }
+}
+
+#[test]
+fn kinds_cover_every_decodable_kind() {
+    // A payload-free frame under each kind byte: the decoder knows the
+    // kind (any answer but `UnknownKind`) exactly when `kinds` has it.
+    let generated: Vec<u8> = kinds().iter().map(|m| wire::encode(m)[6]).collect();
+    let mut frame = wire::encode(&Msg::Health);
+    for kind in 0..=u8::MAX {
+        frame[6] = kind;
+        let known = !matches!(wire::decode(&frame), Err(WireError::UnknownKind(_)));
+        assert_eq!(known, generated.contains(&kind), "kind byte {kind}");
     }
 }
 

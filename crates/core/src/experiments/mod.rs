@@ -54,9 +54,8 @@ pub struct ExpParams {
     /// bit-identical for every value — only wall-clock changes.
     pub jobs: usize,
     /// Write per-phase span records to this JSONL file after the run
-    /// (`--spans out.jsonl`); `None` disables span collection. Spans only
-    /// carry data when the `span` cargo feature is compiled in, and never
-    /// change the simulated numbers either way.
+    /// (`--spans out.jsonl`); `None` disables span collection. Spans
+    /// never change the simulated numbers.
     pub spans_out: Option<std::path::PathBuf>,
 }
 

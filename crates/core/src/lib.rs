@@ -37,8 +37,7 @@ mod warm;
 
 pub use experiments::ExpParams;
 pub use hbc_probe::{
-    is_registered_stage, ProbeExport, ProbeRegistry, SpanLog, SpanRecord, StallBreakdown,
-    StallCause, STAGE_NAMES,
+    ProbeExport, ProbeRegistry, SpanLog, SpanRecord, Stage, StallBreakdown, StallCause,
 };
 pub use hbc_workloads::Benchmark;
 pub use misses::{miss_curve, misses_per_instruction};

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use hbc_probe::{ProbeRegistry, StallBreakdown};
+use hbc_probe::{ProbeRegistry, Stage, StallBreakdown};
 
 /// A simple aligned text table, the output format of every experiment
 /// driver.
@@ -66,7 +66,7 @@ impl Table {
 
     /// Renders as comma-separated values (headers first).
     pub fn to_csv(&self) -> String {
-        let _span = crate::spans::enter("figure.report");
+        let _span = crate::spans::enter(Stage::FigureReport);
         let mut out = String::new();
         out.push_str(&self.headers.join(","));
         out.push('\n');
@@ -80,7 +80,7 @@ impl Table {
 
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let _span = crate::spans::enter("figure.report");
+        let _span = crate::spans::enter(Stage::FigureReport);
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {

@@ -2,7 +2,7 @@
 
 use hbc_cpu::{Core, CpuConfig, RunStats};
 use hbc_mem::{MemConfig, MemStats, MemSystem, PortModel};
-use hbc_probe::{ProbeExport, ProbeRegistry};
+use hbc_probe::{ProbeExport, ProbeRegistry, Stage};
 use hbc_workloads::{Benchmark, BenchmarkSpec, WorkloadGen};
 
 /// Default instructions simulated per configuration.
@@ -222,7 +222,7 @@ impl SimBuilder {
         // the same stream, and cells of a known geometry restore a snapshot
         // of the warmed hierarchy instead of replaying it.
         let mut core = {
-            let _span = crate::spans::enter("sim.warm_up");
+            let _span = crate::spans::enter(Stage::SimWarmUp);
             let gen = match &self.spec_override {
                 Some(spec) => {
                     let mut gen = WorkloadGen::from_spec(spec.clone(), self.seed);
@@ -246,7 +246,7 @@ impl SimBuilder {
             core
         };
         let run = {
-            let _span = crate::spans::enter("sim.measured");
+            let _span = crate::spans::enter(Stage::SimMeasured);
             core.run(self.instructions)
         };
         let probes = self.probes.then(|| {
@@ -264,6 +264,7 @@ impl SimBuilder {
             trace,
             skipped_cycles: core.skipped_cycles(),
             sim_cycles: core.now(),
+            skip_spans: core.skip_spans(),
         }
     }
 }
@@ -283,6 +284,8 @@ pub struct SimResult {
     skipped_cycles: u64,
     /// Total cycles simulated (warm-up included), skipped or ticked.
     sim_cycles: u64,
+    /// Fast-forward jumps the engine took (warm-up included).
+    skip_spans: u64,
 }
 
 impl SimResult {
@@ -321,6 +324,16 @@ impl SimResult {
     /// Cycles the event-horizon engine fast-forwarded instead of ticking.
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
+    }
+
+    /// Fast-forward jumps the event-horizon engine took.
+    pub fn skip_spans(&self) -> u64 {
+        self.skip_spans
+    }
+
+    /// Total cycles simulated (warm-up included), skipped or ticked.
+    pub fn sim_cycles(&self) -> u64 {
+        self.sim_cycles
     }
 
     /// Fraction of simulated cycles that were skipped rather than ticked

@@ -66,3 +66,30 @@ fn skipping_matches_the_tick_loop_bit_for_bit() {
     // path; the mix above always includes configurations that stall.
     assert!(total_skipped.get() > 0, "no case skipped any cycles");
 }
+
+/// The DRAM8 run of the throughput bench (`dram_run` in
+/// `crates/bench/benches/throughput.rs`): a miss-heavy configuration the
+/// engine fast-forwards through. Its skip statistics are properties of
+/// the simulation, not of the host, so they are pinned exactly; any
+/// change to them is a change to the engine.
+#[test]
+fn dram8_skip_statistics_are_pinned() {
+    let run = |skip: bool| {
+        SimBuilder::new(Benchmark::Compress)
+            .dram_cache(8)
+            .line_buffer(true)
+            .instructions(60_000)
+            .warmup(0)
+            .cache_warm(100_000)
+            .event_horizon(skip)
+            .run()
+    };
+    let (skipped, ticked) = (run(true), run(false));
+    for r in [&skipped, &ticked] {
+        assert_eq!(r.sim_cycles(), 85_046);
+        assert_eq!(r.ipc().to_bits(), 0x3fe6_938e_8dd3_5775);
+    }
+    assert_eq!(skipped.skipped_cycles(), 51_597);
+    assert_eq!(skipped.skip_spans(), 1_777);
+    assert_eq!((ticked.skipped_cycles(), ticked.skip_spans()), (0, 0));
+}

@@ -63,12 +63,6 @@ impl Bus {
         self.free_at
     }
 
-    /// The cycle the bus next changes state on its own — the in-flight
-    /// queue draining — if that is still in the future.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        (self.free_at > now).then_some(self.free_at)
-    }
-
     /// Total cycles of occupancy so far.
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles

@@ -490,24 +490,6 @@ impl MemSystem {
         }
     }
 
-    /// The memory system's event horizon: the earliest future cycle at
-    /// which any component changes state on its own — an MSHR fill
-    /// completing, a bus queue draining, or per-cycle port grants expiring.
-    /// `None` when every component is quiescent.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        [
-            self.mshrs.next_event(now),
-            self.chip_bus.next_event(now),
-            self.mem_bus.next_event(now),
-            self.ports.next_event(now),
-            self.stores.next_event(now),
-            self.lb.as_ref().and_then(|lb| lb.next_event(now)),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-    }
-
     /// First cycle at or after `t` the oldest buffered store could drain,
     /// assuming the ports stay clear of loads from `t` on (the only state
     /// in which the event-horizon engine asks). `None` when the buffer is

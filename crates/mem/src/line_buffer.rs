@@ -121,12 +121,6 @@ impl LineBuffer {
         self.lookups
     }
 
-    /// The line buffer is untimed (hits complete in the following cycle,
-    /// priced by the memory system), so it never schedules an event.
-    pub fn next_event(&self, _now: u64) -> Option<u64> {
-        None
-    }
-
     /// Sanitizer: the resident line indices (unordered).
     #[cfg(feature = "sanitize")]
     pub(crate) fn resident_lines(&self) -> impl Iterator<Item = u64> + '_ {

@@ -137,13 +137,6 @@ impl PortTracker {
         self.used
     }
 
-    /// The tracker's contribution to the event horizon: arbitration state
-    /// is strictly per-cycle, so any grant this cycle expires at `now + 1`;
-    /// an idle tracker schedules nothing.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        (self.used > 0).then_some(now + 1)
-    }
-
     /// Lifetime count of bank-conflict denials.
     pub fn bank_conflicts(&self) -> u64 {
         self.bank_conflicts

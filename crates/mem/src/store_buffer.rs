@@ -85,13 +85,6 @@ impl StoreBuffer {
     pub fn full_stalls(&self) -> u64 {
         self.full_stalls
     }
-
-    /// The buffer holds no timed state of its own — drain opportunities are
-    /// arbitrated by the memory system against ports and MSHRs — so it
-    /// never schedules an event horizon of its own.
-    pub fn next_event(&self, _now: u64) -> Option<u64> {
-        None
-    }
 }
 
 #[cfg(test)]

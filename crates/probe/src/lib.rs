@@ -20,8 +20,8 @@
 //!   naming scheme and one reporting path.
 //! * [`SpanLog`] / [`SpanRecord`] — request-scoped structured spans: a
 //!   thread-safe bounded ring of per-stage timings (clockless; callers
-//!   supply monotonic microsecond stamps) exported as JSONL. Stage names
-//!   are registered in [`STAGE_NAMES`] and lint-checked at call sites.
+//!   supply monotonic microsecond stamps) exported as JSONL, each recorded
+//!   under a closed [`Stage`] enum.
 //!
 //! This crate holds *data types only*; it does no per-cycle work by
 //! itself. The per-cycle instrumentation that feeds these types lives in
@@ -54,6 +54,6 @@ mod trace;
 pub use counter::{saturating_count, Counter, Histogram};
 pub use name::is_valid_probe_name;
 pub use registry::{ProbeExport, ProbeRegistry};
-pub use span::{is_registered_stage, SpanLog, SpanRecord, STAGE_NAMES};
+pub use span::{SpanLog, SpanRecord, Stage};
 pub use stall::{StallBreakdown, StallCause};
 pub use trace::{TraceEvent, Tracer};

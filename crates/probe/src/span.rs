@@ -16,15 +16,15 @@
 //! it usable from deterministic simulation code without ever touching the
 //! wall clock itself.
 //!
-//! Every stage name recorded here must appear in [`STAGE_NAMES`]; the
-//! `probe-coverage` lint in `hbc-analyze` cross-checks literal stage names
-//! at `enter(…)` / `record_at(…)` / `record_since(…)` call sites against
-//! that table, so a typo'd stage can't silently vanish from reports.
+//! Every span is recorded under a [`Stage`], a closed enum, so a typo'd
+//! stage is a compile error rather than a name that silently vanishes
+//! from reports. Only text from outside the process (a `/trace` body)
+//! goes through [`Stage::parse`].
 //!
 //! # Example
 //!
 //! ```
-//! use hbc_probe::{SpanLog, SpanRecord};
+//! use hbc_probe::{SpanLog, SpanRecord, Stage};
 //!
 //! let log = SpanLog::new(16);
 //! let request = log.next_request_id();
@@ -33,7 +33,7 @@
 //!     request,
 //!     span,
 //!     parent: 0,
-//!     stage: "serve.parse",
+//!     stage: Stage::ServeParse,
 //!     start_us: 10,
 //!     dur_us: 250,
 //! });
@@ -49,38 +49,124 @@ use std::sync::atomic::{AtomicU64, Ordering};
 // hbc-allow: exec-merge (span ring holds observability metadata, not simulation results; sim output never reads it)
 use std::sync::Mutex;
 
-/// The registered stage-name table: every stage a span may be recorded
-/// under, across all three instrumented layers.
+/// Every stage a span may be recorded under, across the instrumented
+/// layers.
 ///
-/// `hbc-analyze`'s `probe-coverage` rule checks literal stage names at
-/// span call sites against this table. Keep it sorted by layer.
-pub const STAGE_NAMES: &[&str] = &[
+/// [`name`](Stage::name) is the wire form: it appears verbatim in `/trace`
+/// JSONL, federated traces, `/metrics` `stage="…"` labels, and benchmark
+/// row names, so a variant's name never changes. Stages order by name,
+/// which keeps per-stage `/metrics` summaries alphabetical.
+///
+/// A stage that is not a variant does not compile:
+///
+/// ```compile_fail
+/// use hbc_probe::SpanRecord;
+///
+/// let _ = SpanRecord { request: 1, span: 1, parent: 0, stage: "serve.parze", start_us: 0, dur_us: 0 };
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Stage {
     // hbc-serve request lifecycle, in order.
-    "serve.accept",
-    "serve.parse",
-    "serve.queue_wait",
-    "serve.cache_lookup",
-    "serve.single_flight_wait",
-    "serve.simulate",
-    "serve.serialize",
-    "serve.write",
+    /// Connection accepted, until the request is queued.
+    ServeAccept,
+    /// Request line, headers and body parsed.
+    ServeParse,
+    /// Waiting in the handler queue.
+    ServeQueueWait,
+    /// Result-cache lookup.
+    ServeCacheLookup,
+    /// Waiting on an identical in-flight simulation.
+    ServeSingleFlightWait,
+    /// The simulation itself.
+    ServeSimulate,
+    /// Response body serialized.
+    ServeSerialize,
+    /// Response written to the socket.
+    ServeWrite,
     // hbc-cluster coordinator/worker lifecycle.
-    "cluster.route",
-    "cluster.forward",
-    "cluster.worker_execute",
+    /// Coordinator picks a worker.
+    ClusterRoute,
+    /// One forward attempt to a worker.
+    ClusterForward,
+    /// A worker executes a forwarded request.
+    ClusterWorkerExecute,
     // hbc-exec parallel engine, per cell.
-    "exec.steal",
-    "exec.run",
-    "exec.merge",
+    /// A worker thread fetches its next cell.
+    ExecSteal,
+    /// One cell runs.
+    ExecRun,
+    /// Results are merged after the join.
+    ExecMerge,
     // hbc-core figure drivers, per phase.
-    "sim.warm_up",
-    "sim.measured",
-    "figure.report",
-];
+    /// The simulation's warm-up window.
+    SimWarmUp,
+    /// The simulation's measured window.
+    SimMeasured,
+    /// A figure table is rendered.
+    FigureReport,
+}
 
-/// `true` when `stage` appears in [`STAGE_NAMES`].
-pub fn is_registered_stage(stage: &str) -> bool {
-    STAGE_NAMES.contains(&stage)
+impl Stage {
+    /// Every stage, in declaration order.
+    pub const ALL: [Stage; 17] = [
+        Stage::ServeAccept,
+        Stage::ServeParse,
+        Stage::ServeQueueWait,
+        Stage::ServeCacheLookup,
+        Stage::ServeSingleFlightWait,
+        Stage::ServeSimulate,
+        Stage::ServeSerialize,
+        Stage::ServeWrite,
+        Stage::ClusterRoute,
+        Stage::ClusterForward,
+        Stage::ClusterWorkerExecute,
+        Stage::ExecSteal,
+        Stage::ExecRun,
+        Stage::ExecMerge,
+        Stage::SimWarmUp,
+        Stage::SimMeasured,
+        Stage::FigureReport,
+    ];
+
+    /// The stage's wire name (`serve.parse`, `exec.run`, …).
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::ServeAccept => "serve.accept",
+            Stage::ServeParse => "serve.parse",
+            Stage::ServeQueueWait => "serve.queue_wait",
+            Stage::ServeCacheLookup => "serve.cache_lookup",
+            Stage::ServeSingleFlightWait => "serve.single_flight_wait",
+            Stage::ServeSimulate => "serve.simulate",
+            Stage::ServeSerialize => "serve.serialize",
+            Stage::ServeWrite => "serve.write",
+            Stage::ClusterRoute => "cluster.route",
+            Stage::ClusterForward => "cluster.forward",
+            Stage::ClusterWorkerExecute => "cluster.worker_execute",
+            Stage::ExecSteal => "exec.steal",
+            Stage::ExecRun => "exec.run",
+            Stage::ExecMerge => "exec.merge",
+            Stage::SimWarmUp => "sim.warm_up",
+            Stage::SimMeasured => "sim.measured",
+            Stage::FigureReport => "figure.report",
+        }
+    }
+
+    /// The stage whose [`name`](Stage::name) is `name`, if any.
+    pub fn parse(name: &str) -> Option<Stage> {
+        Stage::ALL.into_iter().find(|s| s.name() == name)
+    }
+}
+
+impl PartialOrd for Stage {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Stage {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.name().cmp(other.name())
+    }
 }
 
 /// One completed span: a named stage of one request, with monotonic
@@ -98,8 +184,8 @@ pub struct SpanRecord {
     pub span: u64,
     /// Enclosing span's ID, or 0 for a root span.
     pub parent: u64,
-    /// Registered stage name (must appear in [`STAGE_NAMES`]).
-    pub stage: &'static str,
+    /// The stage this span timed.
+    pub stage: Stage,
     /// Start time, microseconds from the caller's monotonic origin.
     pub start_us: u64,
     /// Duration in microseconds.
@@ -111,7 +197,12 @@ impl SpanRecord {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"request\":{},\"span\":{},\"parent\":{},\"stage\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",
-            self.request, self.span, self.parent, self.stage, self.start_us, self.dur_us
+            self.request,
+            self.span,
+            self.parent,
+            self.stage.name(),
+            self.start_us,
+            self.dur_us
         )
     }
 }
@@ -131,8 +222,7 @@ struct Ring {
 /// a consistent snapshot with [`to_jsonl`](SpanLog::to_jsonl). ID
 /// allocation is lock-free; the ring itself is guarded by a mutex held
 /// only for the push or the snapshot copy. Capacity 0 disables retention
-/// (records are counted as dropped), which is how the span feature stays
-/// observably free when no sink is installed.
+/// (records are counted as dropped).
 #[derive(Debug)]
 pub struct SpanLog {
     capacity: usize,
@@ -193,16 +283,7 @@ impl SpanLog {
     }
 
     /// Appends a record, evicting the oldest when full.
-    ///
-    /// Debug builds assert the stage name is registered in
-    /// [`STAGE_NAMES`]; release builds record it regardless so a stale
-    /// binary never loses data.
     pub fn record(&self, record: SpanRecord) {
-        debug_assert!(
-            is_registered_stage(record.stage),
-            "span stage {:?} is not in hbc_probe::span::STAGE_NAMES",
-            record.stage
-        );
         let mut ring = ring_lock(&self.ring);
         if self.capacity == 0 {
             ring.dropped = ring.dropped.saturating_add(1);
@@ -254,12 +335,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_table_is_sorted_within_layers_and_valid() {
-        for stage in STAGE_NAMES {
-            assert!(crate::is_valid_probe_name(stage), "bad stage name {stage:?}");
-            assert!(is_registered_stage(stage));
+    fn every_stage_round_trips_through_its_name() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i, "ALL is in declaration order");
+            assert_eq!(Stage::parse(stage.name()), Some(stage));
+            assert!(crate::is_valid_probe_name(stage.name()), "bad stage name {stage:?}");
         }
-        assert!(!is_registered_stage("serve.bogus"));
+    }
+
+    #[test]
+    fn unknown_names_parse_to_none() {
+        for name in ["serve.bogus", "serve.parze", "", "serve", "Serve.parse", "serve.parse "] {
+            assert_eq!(Stage::parse(name), None, "{name:?}");
+        }
+    }
+
+    #[test]
+    fn stages_order_by_name() {
+        let mut by_order = Stage::ALL;
+        by_order.sort();
+        let mut by_name = Stage::ALL;
+        by_name.sort_by_key(|s| s.name());
+        assert_eq!(by_order, by_name);
     }
 
     #[test]
@@ -294,7 +391,7 @@ mod tests {
                 request: 1,
                 span: i + 1,
                 parent: 0,
-                stage: "exec.run",
+                stage: Stage::ExecRun,
                 start_us: i,
                 dur_us: 1,
             });
@@ -312,7 +409,7 @@ mod tests {
             request: 1,
             span: 1,
             parent: 0,
-            stage: "serve.write",
+            stage: Stage::ServeWrite,
             start_us: 0,
             dur_us: 5,
         });
@@ -328,7 +425,7 @@ mod tests {
             request: 3,
             span: 7,
             parent: 2,
-            stage: "serve.simulate",
+            stage: Stage::ServeSimulate,
             start_us: 1500,
             dur_us: 2500,
         });
@@ -351,7 +448,7 @@ mod tests {
                             request: t + 1,
                             span: log.next_span_id(),
                             parent: 0,
-                            stage: "exec.run",
+                            stage: Stage::ExecRun,
                             start_us: i,
                             dur_us: 1,
                         });
@@ -361,20 +458,5 @@ mod tests {
         });
         assert_eq!(log.len(), 256);
         assert_eq!(log.dropped(), 0);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "not in hbc_probe::span::STAGE_NAMES")]
-    fn unregistered_stage_asserts_in_debug() {
-        let log = SpanLog::new(4);
-        log.record(SpanRecord {
-            request: 1,
-            span: 1,
-            parent: 0,
-            stage: "serve.not_a_stage",
-            start_us: 0,
-            dur_us: 0,
-        });
     }
 }

@@ -40,6 +40,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use hbc_probe::Stage;
+
 use crate::http::{self, HttpError};
 use crate::json::Json;
 use crate::lock;
@@ -270,7 +272,7 @@ fn accept_loop<B: Backend>(shared: &Shared<B>, listener: &TcpListener) {
         queue.push_back(QueuedConn { stream, accepted: Instant::now(), request_id, queued_us });
         shared.metrics.queue_push();
         drop(queue);
-        shared.spans.record_at("serve.accept", request_id, 0, accept_start_us, queued_us);
+        shared.spans.record_at(Stage::ServeAccept, request_id, 0, accept_start_us, queued_us);
         shared.queue_cv.notify_one();
     }
 }
@@ -364,10 +366,10 @@ impl<B: Backend> Responder<'_, B> {
         let serialize_start_us = spans.now_us();
         let bytes = http::render_response(status, content_type, extra_headers, body);
         let write_start_us = spans.now_us();
-        spans.record_at("serve.serialize", id, 0, serialize_start_us, write_start_us);
+        spans.record_at(Stage::ServeSerialize, id, 0, serialize_start_us, write_start_us);
         use std::io::Write as _;
         let _ = self.stream.write_all(&bytes).and_then(|()| self.stream.flush());
-        spans.record_at("serve.write", id, 0, write_start_us, spans.now_us());
+        spans.record_at(Stage::ServeWrite, id, 0, write_start_us, spans.now_us());
         let micros = u64::try_from(self.accepted.elapsed().as_micros()).unwrap_or(u64::MAX);
         m.record_latency(micros);
     }
@@ -385,7 +387,7 @@ const SHARED_PATHS: &[&str] =
 
 fn handle_conn<B: Backend>(shared: &Shared<B>, conn: QueuedConn) {
     let QueuedConn { mut stream, accepted, request_id, queued_us } = conn;
-    shared.spans.record_at("serve.queue_wait", request_id, 0, queued_us, shared.spans.now_us());
+    shared.spans.record_at(Stage::ServeQueueWait, request_id, 0, queued_us, shared.spans.now_us());
     let deadline = accepted + shared.request_timeout;
     let mut out = Responder { shared, stream: &mut stream, accepted, deadline, request_id };
     let now = Instant::now();
@@ -403,7 +405,7 @@ fn handle_conn<B: Backend>(shared: &Shared<B>, conn: QueuedConn) {
 
     let parse_start_us = shared.spans.now_us();
     let parsed = http::read_request(&mut *out.stream);
-    shared.spans.record_at("serve.parse", request_id, 0, parse_start_us, shared.spans.now_us());
+    shared.spans.record_at(Stage::ServeParse, request_id, 0, parse_start_us, shared.spans.now_us());
     let request = match parsed {
         Ok(request) => request,
         // Nothing useful (or nobody) to answer: closed early or dead socket.

@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use hbc_probe::{Histogram, ProbeRegistry};
+use hbc_probe::{Histogram, ProbeRegistry, Stage};
 
 use crate::lock;
 
@@ -146,7 +146,7 @@ impl Metrics {
         &self,
         cache_evictions: u64,
         span_dropped: u64,
-        stages: &BTreeMap<&'static str, Histogram>,
+        stages: &BTreeMap<Stage, Histogram>,
     ) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -259,15 +259,10 @@ impl Metrics {
 }
 
 /// Writes the `name` summary family with one summary per span stage.
-pub fn write_stages(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    stages: &BTreeMap<&'static str, Histogram>,
-) {
+pub fn write_stages(out: &mut String, name: &str, help: &str, stages: &BTreeMap<Stage, Histogram>) {
     family(out, name, "summary", help);
     for (stage, h) in stages {
-        summary(out, name, &format!("stage=\"{stage}\""), h);
+        summary(out, name, &format!("stage=\"{}\"", stage.name()), h);
     }
 }
 
@@ -456,7 +451,7 @@ mod tests {
         let mut h = Histogram::default();
         h.record(500);
         h.record(900);
-        stages.insert("serve.parse", h);
+        stages.insert(Stage::ServeParse, h);
 
         let text = m.to_prometheus(3, 2, &stages);
         let samples = parse_prometheus(&text).expect("body parses");

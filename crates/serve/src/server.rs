@@ -27,6 +27,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use hbc_probe::Stage;
+
 use crate::cache::{ResultCache, Tier};
 use crate::front::{Backend, Front, FrontConfig, FrontHandle, Responder};
 use crate::lock;
@@ -191,7 +193,7 @@ impl LocalBackend {
         let lookup_start_us = spans.now_us();
         let cached = local.cache.get(&spec_hash, &canonical);
         let lookup_end_us = spans.now_us();
-        spans.record_at("serve.cache_lookup", request, parent, lookup_start_us, lookup_end_us);
+        spans.record_at(Stage::ServeCacheLookup, request, parent, lookup_start_us, lookup_end_us);
         if let Some((body, tier)) = cached {
             let (cache, counter) = match tier {
                 Tier::Memory => ("hit-memory", &local.metrics.cache_hits_memory),
@@ -225,7 +227,7 @@ impl LocalBackend {
         let wait_start_us = spans.now_us();
         let outcome = flight.wait(deadline);
         let wait_end_us = spans.now_us();
-        spans.record_at("serve.single_flight_wait", request, parent, wait_start_us, wait_end_us);
+        spans.record_at(Stage::ServeSingleFlightWait, request, parent, wait_start_us, wait_end_us);
         match outcome {
             FlightState::Done(body) => {
                 Outcome::Served(if leader { "miss" } else { "coalesced" }, spec_hash, body)
@@ -264,7 +266,7 @@ impl LocalBackend {
             // followers share this one simulation, so their traces show a
             // single-flight wait instead.
             let sim_end_us = local.spans.now_us();
-            local.spans.record_at("serve.simulate", request, parent, sim_start_us, sim_end_us);
+            local.spans.record_at(Stage::ServeSimulate, request, parent, sim_start_us, sim_end_us);
             let state = match result {
                 Ok(body) => {
                     if let Err(e) = local.cache.put(&hash, &canonical, &body) {

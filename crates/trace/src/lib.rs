@@ -42,11 +42,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hbc_probe::Histogram;
+use hbc_probe::{Histogram, Stage};
 use hbc_serve::json::Json;
 
 /// One span line from a trace export (field-for-field
-/// `hbc_probe::SpanRecord`, with the stage owned).
+/// `hbc_probe::SpanRecord`, with the stage kept as text: traces may come
+/// from other builds, so a stage this build does not know still loads).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Request the span belongs to (the tree key).
@@ -261,7 +262,7 @@ pub fn analyze(set: &TraceSet) -> Report {
             let self_us = s.dur_us.saturating_sub(children);
             *stage_self.entry(s.stage.as_str()).or_default() += self_us;
             attributed_us += self_us;
-            if s.stage == "cluster.forward" {
+            if s.stage == Stage::ClusterForward.name() {
                 forwards += 1;
             }
         }
