@@ -18,16 +18,14 @@
 //!   after the run. Spans never change the figures;
 //! * (default) — 60 K-instruction windows, all nine benchmarks.
 //!
-//! The crate also ships the `hbc-bench` CLI whose `compare` subcommand is
-//! the perf-regression gate over `results/BENCH_*.json` (see [`compare`]).
+//! The binaries regenerate the paper's numbers. The wall time CI gates
+//! on is measured from outside them, by the repository benchmark
+//! (`benchmark/`, declared in `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 
 use hbc_core::report::{probe_table, stall_table};
 use hbc_core::{ExpParams, SimBuilder};
-
-pub mod compare;
-pub mod timer;
 
 /// Parses the common experiment flags from `std::env::args`.
 ///

@@ -67,11 +67,10 @@ fn skipping_matches_the_tick_loop_bit_for_bit() {
     assert!(total_skipped.get() > 0, "no case skipped any cycles");
 }
 
-/// The DRAM8 run of the throughput bench (`dram_run` in
-/// `crates/bench/benches/throughput.rs`): a miss-heavy configuration the
-/// engine fast-forwards through. Its skip statistics are properties of
-/// the simulation, not of the host, so they are pinned exactly; any
-/// change to them is a change to the engine.
+/// Compress on a DRAM cache with an 8-cycle hit and a line buffer: a
+/// miss-heavy configuration the engine fast-forwards through. Its skip
+/// statistics are properties of the simulation, not of the host, so they
+/// are pinned exactly; any change to them is a change to the engine.
 #[test]
 fn dram8_skip_statistics_are_pinned() {
     let run = |skip: bool| {

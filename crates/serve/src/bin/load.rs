@@ -2,8 +2,8 @@
 //! `hbc-cluster` coordinator (same HTTP API).
 //!
 //! ```text
-//! hbc-load --addr URL[,URL…] [--requests N] [--concurrency C1,C2,…]
-//!          [--seed N] [--timeout-ms N] [--out PATH|none]
+//! hbc-load --addr URL [--requests N] [--concurrency C1,C2,…]
+//!          [--seed N] [--timeout-ms N]
 //! hbc-load --addr URL --smoke
 //! hbc-load --addr URL --cluster-smoke
 //! hbc-load --addr URL --shutdown
@@ -12,12 +12,12 @@
 //! The default mode replays the seeded request mix of
 //! [`hbc_serve::spec::mixed_request`] — a pure function of `(seed, index)`,
 //! so every run issues the same specs in the same order — at each requested
-//! concurrency level, and records throughput, latency percentiles, and
-//! status/cache tallies into a benchmark JSON (`results/BENCH_serve.json`
-//! by default). `--addr` accepts multiple targets (repeated flags or
-//! comma-separated); request `index` goes to target `index % targets`, so
-//! one run can drive several servers, or a coordinator next to a direct
-//! worker for comparison.
+//! concurrency level, and prints each level's throughput, latency
+//! percentiles and status/`X-Cache` tallies. It exits 1 unless every
+//! request answered `200`, which makes it a CI gate under load (a worker
+//! killed mid-run must be absorbed by failover). It times nothing that is
+//! gated: wall-time regressions are the repository benchmark's job
+//! (`benchmark/`).
 //!
 //! `--smoke` is the single-server CI gate: it computes one figure payload
 //! in-process, requests it twice, and fails unless both responses are
@@ -29,6 +29,7 @@
 //! and leave behind strictly parseable cluster metrics. `--shutdown`
 //! POSTs `/shutdown` and exits.
 
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -39,12 +40,11 @@ use hbc_serve::json::Json;
 use hbc_serve::spec::{mixed_request, ExperimentId, Preset, RunRequest};
 
 struct Options {
-    targets: Vec<SocketAddr>,
+    addr: SocketAddr,
     requests: u64,
     concurrency: Vec<usize>,
     seed: u64,
     timeout: Duration,
-    out: Option<std::path::PathBuf>,
     smoke: bool,
     cluster_smoke: bool,
     shutdown: bool,
@@ -54,17 +54,12 @@ impl Options {
     fn http(&self) -> HttpClient {
         HttpClient::new(self.timeout)
     }
-
-    /// The first target (the only one the smoke/shutdown modes address).
-    fn primary(&self) -> SocketAddr {
-        self.targets[0]
-    }
 }
 
 fn main() {
     let opts = options_from_args();
     if opts.shutdown {
-        match opts.http().post(opts.primary(), "/shutdown", b"") {
+        match opts.http().post(opts.addr, "/shutdown", b"") {
             Ok(resp) => println!("hbc-load: shutdown requested ({})", resp.status),
             Err(e) => fail(&format!("shutdown request failed: {e}")),
         }
@@ -88,69 +83,56 @@ struct Sample {
     micros: u64,
 }
 
-/// The measured outcome of one concurrency level.
-struct Level {
-    concurrency: usize,
-    wall: Duration,
-    samples: Vec<Sample>,
-}
-
 fn load(opts: &Options) {
-    let mut levels = Vec::new();
+    let mut refused = 0;
     for &concurrency in &opts.concurrency {
-        let level = run_level(opts, concurrency);
-        let p = percentiles(&level.samples);
+        let started = Instant::now();
+        let samples = run_level(opts, concurrency);
+        let wall = started.elapsed().as_secs_f64();
+        let p = percentiles(&samples);
+        let mut status = BTreeMap::<String, u64>::new();
+        let mut cache = BTreeMap::<&str, u64>::new();
+        for s in &samples {
+            let key =
+                if s.status == 0 { "transport-error".to_string() } else { s.status.to_string() };
+            *status.entry(key).or_default() += 1;
+            *cache.entry(&s.cache).or_default() += 1;
+        }
+        refused += samples.iter().filter(|s| s.status != 200).count();
         println!(
-            "hbc-load: c={concurrency} {} requests in {:.2}s — {:.1} req/s, \
-             p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms",
-            level.samples.len(),
-            level.wall.as_secs_f64(),
-            level.samples.len() as f64 / level.wall.as_secs_f64(),
+            "hbc-load: c={concurrency} {} requests in {wall:.2}s — {:.1} req/s, \
+             p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms; status {status:?}, X-Cache {cache:?}",
+            samples.len(),
+            samples.len() as f64 / wall,
             p[0] as f64 / 1000.0,
             p[1] as f64 / 1000.0,
             p[2] as f64 / 1000.0,
         );
-        levels.push(level);
     }
-    let report = render_report(opts, &levels);
-    match &opts.out {
-        None => println!("{report}"),
-        Some(path) => {
-            if let Some(parent) = path.parent() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    fail(&format!("cannot create {}: {e}", parent.display()));
-                }
-            }
-            if let Err(e) = std::fs::write(path, format!("{report}\n")) {
-                fail(&format!("cannot write {}: {e}", path.display()));
-            }
-            println!("hbc-load: wrote {}", path.display());
-        }
+    if refused > 0 {
+        fail(&format!("{refused} request(s) did not answer 200"));
     }
 }
 
 /// Replays requests 0..`opts.requests` of the mix with `concurrency`
-/// client threads pulling indices from a shared counter. Request `index`
-/// goes to target `index % targets`.
-fn run_level(opts: &Options, concurrency: usize) -> Level {
+/// client threads pulling indices from a shared counter, and returns the
+/// samples sorted by latency.
+fn run_level(opts: &Options, concurrency: usize) -> Vec<Sample> {
     let next = Arc::new(AtomicU64::new(0));
     let (tx, rx) = mpsc::channel::<Sample>();
-    let started = Instant::now();
     let mut threads = Vec::new();
     for _ in 0..concurrency.max(1) {
         let next = Arc::clone(&next);
         let tx = tx.clone();
-        let targets = opts.targets.clone();
-        let (http, seed, requests) = (opts.http(), opts.seed, opts.requests);
+        let (http, addr, seed, requests) = (opts.http(), opts.addr, opts.seed, opts.requests);
         threads.push(std::thread::spawn(move || loop {
             let index = next.fetch_add(1, Ordering::Relaxed);
             if index >= requests {
                 return;
             }
-            let target = targets[usize::try_from(index).unwrap_or(0) % targets.len()];
             let spec = mixed_request(seed, index).to_json();
             let t0 = Instant::now();
-            let sample = match http.post(target, "/run", spec.as_bytes()) {
+            let sample = match http.post(addr, "/run", spec.as_bytes()) {
                 Ok(resp) => Sample {
                     status: resp.status,
                     cache: resp.header("x-cache").unwrap_or("none").to_string(),
@@ -172,9 +154,8 @@ fn run_level(opts: &Options, concurrency: usize) -> Level {
     for thread in threads {
         let _ = thread.join();
     }
-    let wall = started.elapsed();
     samples.sort_by_key(|s| s.micros);
-    Level { concurrency, wall, samples }
+    samples
 }
 
 /// Nearest-rank p50/p95/p99 (in microseconds) over samples sorted by
@@ -190,59 +171,10 @@ fn percentiles(sorted: &[Sample]) -> [u64; 3] {
     })
 }
 
-fn render_report(opts: &Options, levels: &[Level]) -> String {
-    use std::collections::BTreeMap;
-    let mut config = BTreeMap::new();
-    config.insert("requests".to_string(), Json::U64(opts.requests));
-    config.insert("seed".to_string(), Json::U64(opts.seed));
-    config.insert("targets".to_string(), Json::U64(opts.targets.len() as u64));
-    config.insert("mix".to_string(), Json::Str("hbc-load mix (spec::mixed_request)".to_string()));
-    let levels = levels
-        .iter()
-        .map(|level| {
-            let p = percentiles(&level.samples);
-            let mut status = BTreeMap::new();
-            let mut cache = BTreeMap::new();
-            for s in &level.samples {
-                let key = if s.status == 0 {
-                    "transport-error".to_string()
-                } else {
-                    s.status.to_string()
-                };
-                let e = status.entry(key).or_insert(Json::U64(0));
-                *e = Json::U64(e.as_u64().unwrap_or(0) + 1);
-                let e = cache.entry(s.cache.clone()).or_insert(Json::U64(0));
-                *e = Json::U64(e.as_u64().unwrap_or(0) + 1);
-            }
-            let mut latency = BTreeMap::new();
-            for (name, micros) in [("p50_ms", p[0]), ("p95_ms", p[1]), ("p99_ms", p[2])] {
-                latency.insert(name.to_string(), Json::F64(micros as f64 / 1000.0));
-            }
-            let mut obj = BTreeMap::new();
-            obj.insert("concurrency".to_string(), Json::U64(level.concurrency as u64));
-            obj.insert("wall_s".to_string(), Json::F64(level.wall.as_secs_f64()));
-            obj.insert(
-                "throughput_rps".to_string(),
-                Json::F64(level.samples.len() as f64 / level.wall.as_secs_f64()),
-            );
-            obj.insert("latency".to_string(), Json::Obj(latency));
-            obj.insert("status".to_string(), Json::Obj(status));
-            obj.insert("cache".to_string(), Json::Obj(cache));
-            Json::Obj(obj)
-        })
-        .collect();
-    let mut root = BTreeMap::new();
-    root.insert("schema".to_string(), Json::U64(1));
-    root.insert("bench".to_string(), Json::Str("hbc-serve load".to_string()));
-    root.insert("config".to_string(), Json::Obj(config));
-    root.insert("levels".to_string(), Json::Arr(levels));
-    Json::Obj(root).render()
-}
-
 /// The CI smoke gate: golden byte-identity plus a verified cache hit.
 fn smoke(opts: &Options) {
     let http = opts.http();
-    let addr = opts.primary();
+    let addr = opts.addr;
     let mut request = RunRequest::new(ExperimentId::Fig4);
     request.preset = Preset::Fast;
     let expected = request.execute();
@@ -334,7 +266,7 @@ fn smoke(opts: &Options) {
 /// repeat as shard-local cache hits, and leave valid cluster metrics.
 fn cluster_smoke(opts: &Options) {
     let http = opts.http();
-    let addr = opts.primary();
+    let addr = opts.addr;
     let mut bytes = 0usize;
     let mut workers = std::collections::BTreeSet::new();
     for index in 0..4u64 {
@@ -401,13 +333,13 @@ fn cluster_smoke(opts: &Options) {
 }
 
 fn options_from_args() -> Options {
+    let mut addr = None;
     let mut opts = Options {
-        targets: Vec::new(),
+        addr: SocketAddr::from(([127, 0, 0, 1], 0)),
         requests: 64,
         concurrency: vec![1, 4],
         seed: 7,
         timeout: Duration::from_secs(120),
-        out: Some(std::path::PathBuf::from("results/BENCH_serve.json")),
         smoke: false,
         cluster_smoke: false,
         shutdown: false,
@@ -418,14 +350,11 @@ fn options_from_args() -> Options {
             args.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")))
         };
         match arg.as_str() {
-            "--addr" => {
-                for part in value("--addr").split(',') {
-                    match client::parse_addr(part.trim()) {
-                        Ok(parsed) => opts.targets.push(parsed),
-                        Err(e) => usage(&e),
-                    }
-                }
-            }
+            "--addr" => match client::parse_addr(&value("--addr")) {
+                Ok(parsed) if addr.is_none() => addr = Some(parsed),
+                Ok(_) => usage("--addr takes one URL"),
+                Err(e) => usage(&e),
+            },
             "--requests" => opts.requests = parse(&value("--requests"), "--requests"),
             "--concurrency" => {
                 opts.concurrency = value("--concurrency")
@@ -440,19 +369,14 @@ fn options_from_args() -> Options {
             "--timeout-ms" => {
                 opts.timeout = Duration::from_millis(parse(&value("--timeout-ms"), "--timeout-ms"));
             }
-            "--out" => {
-                let path = value("--out");
-                opts.out = if path == "none" { None } else { Some(path.into()) };
-            }
             "--smoke" => opts.smoke = true,
             "--cluster-smoke" => opts.cluster_smoke = true,
             "--shutdown" => opts.shutdown = true,
             other => usage(&format!("unknown flag `{other}`")),
         }
     }
-    if opts.targets.is_empty() {
-        usage("--addr is required (e.g. --addr http://127.0.0.1:8080)");
-    }
+    opts.addr =
+        addr.unwrap_or_else(|| usage("--addr is required (e.g. --addr http://127.0.0.1:8080)"));
     opts
 }
 
@@ -463,8 +387,8 @@ fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: hbc-load --addr URL[,URL…] [--requests N] [--concurrency C1,C2,…] [--seed N] \
-         [--timeout-ms N] [--out PATH|none] [--smoke] [--cluster-smoke] [--shutdown]"
+        "usage: hbc-load --addr URL [--requests N] [--concurrency C1,C2,…] [--seed N] \
+         [--timeout-ms N] [--smoke] [--cluster-smoke] [--shutdown]"
     );
     std::process::exit(2);
 }
