@@ -1,6 +1,7 @@
 //! Simulation configuration and runner.
 
 use hbc_cpu::{Core, CpuConfig, RunStats};
+use hbc_isa::DynInst;
 use hbc_mem::{MemConfig, MemStats, MemSystem, PortModel};
 use hbc_probe::{ProbeExport, ProbeRegistry, Stage};
 use hbc_workloads::{Benchmark, BenchmarkSpec, WorkloadGen};
@@ -217,13 +218,15 @@ impl SimBuilder {
         // trace as long as the paper's would reach, then measure. The warm
         // fast path advances the generator with full draw parity while
         // skipping instruction assembly, so the measured stream is the one
-        // `next_inst` alone would produce. Stock-benchmark warm streams are
+        // `next_inst` alone would produce. Stock-benchmark streams are
         // memoized per thread (`crate::warm`): every cell of a sweep shares
-        // the same stream, and cells of a known geometry restore a snapshot
-        // of the warmed hierarchy instead of replaying it.
+        // the same warm and measured streams, cells of a known geometry
+        // restore a snapshot of the warmed hierarchy instead of replaying
+        // it, and cells after the first replay the recorded measured
+        // stream instead of generating it.
         let mut core = {
             let _span = crate::spans::enter(Stage::SimWarmUp);
-            let gen = match &self.spec_override {
+            let stream = match &self.spec_override {
                 Some(spec) => {
                     let mut gen = WorkloadGen::from_spec(spec.clone(), self.seed);
                     for _ in 0..self.cache_warm {
@@ -231,11 +234,29 @@ impl SimBuilder {
                             mem.warm_touch(addr);
                         }
                     }
-                    gen
+                    Measured::Generated(Box::new(gen))
                 }
-                None => crate::warm::warm(self.benchmark, self.seed, self.cache_warm, &mut mem),
+                None => {
+                    // The core fetches what it retires (each run may
+                    // overshoot its target by under a commit width), a full
+                    // window and one staged instruction.
+                    let draws = self.warmup
+                        + self.instructions
+                        + 2 * u64::from(self.cpu.commit_width)
+                        + self.cpu.rob_entries as u64
+                        + 1;
+                    let replay = crate::warm::warm(
+                        self.benchmark,
+                        self.seed,
+                        self.cache_warm,
+                        draws,
+                        &mut mem,
+                    );
+                    Measured::Replayed(replay)
+                }
             };
-            let mut core = Core::new(self.cpu.clone(), mem, gen).expect("valid CPU configuration");
+            let mut core =
+                Core::new(self.cpu.clone(), mem, stream).expect("valid CPU configuration");
             core.set_event_horizon(self.event_horizon);
             if self.trace_window > 0 {
                 core.enable_trace(self.trace_window as usize);
@@ -265,6 +286,25 @@ impl SimBuilder {
             skipped_cycles: core.skipped_cycles(),
             sim_cycles: core.now(),
             skip_spans: core.skip_spans(),
+        }
+    }
+}
+
+/// Where a run's measured instructions come from.
+enum Measured {
+    /// A generator of the run's own (custom specs bypass the memo).
+    Generated(Box<WorkloadGen>),
+    /// The warm memo's recorded stream.
+    Replayed(crate::warm::Replay),
+}
+
+impl Iterator for Measured {
+    type Item = DynInst;
+
+    fn next(&mut self) -> Option<DynInst> {
+        match self {
+            Measured::Generated(gen) => gen.next(),
+            Measured::Replayed(replay) => replay.next(),
         }
     }
 }

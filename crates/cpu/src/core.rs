@@ -1,8 +1,6 @@
 //! The four-issue dynamic superscalar pipeline.
 
-use std::collections::VecDeque;
-
-use hbc_isa::{DynInst, InstId};
+use hbc_isa::{DynInst, ExecMode, InstId, OpClass};
 use hbc_mem::{LoadResponse, MemSystem, RejectReason};
 use hbc_probe::{saturating_count, Tracer};
 #[cfg(feature = "probe")]
@@ -10,6 +8,13 @@ use hbc_probe::{StallCause, TraceEvent};
 
 use crate::config::{CpuConfig, CpuConfigError};
 use crate::stats::RunStats;
+
+/// Cycles without a retirement after which [`Core::run`] declares a
+/// deadlock.
+const DEADLOCK_CYCLES: u64 = 100_000;
+
+/// End of a waiter list.
+const NO_WAITER: u32 = u32::MAX;
 
 /// Lifecycle of one in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +50,136 @@ struct Slot {
     inst: DynInst,
     dispatched_at: u64,
     stage: Stage,
+    /// Source operands whose producer is in the window and not yet done.
+    unready: u8,
+    /// First link of the list of consumers waiting on this slot's result
+    /// (`NO_WAITER` when none). A link is a consumer's ring position
+    /// shifted left once, or-ed with the index of the source operand that
+    /// names this slot.
+    waiters: u32,
+    /// For each source operand, the next link in its producer's waiter
+    /// list.
+    next_waiter: [u32; 2],
+}
+
+impl Slot {
+    fn vacant() -> Self {
+        Slot {
+            inst: DynInst::new(InstId::new(0), OpClass::IntAlu, ExecMode::User),
+            dispatched_at: 0,
+            stage: Stage::Dispatched,
+            unready: 0,
+            waiters: NO_WAITER,
+            next_waiter: [NO_WAITER; 2],
+        }
+    }
+}
+
+/// The instruction window: a fixed ring of `rob_entries` slots holding the
+/// contiguous ids `Core::head ..` in age order.
+#[derive(Debug, Clone)]
+struct Window {
+    slots: Vec<Slot>,
+    /// Ring position of the oldest instruction.
+    head_pos: usize,
+    len: usize,
+}
+
+impl Window {
+    fn new(entries: usize) -> Self {
+        Window { slots: vec![Slot::vacant(); entries], head_pos: 0, len: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == self.slots.len()
+    }
+
+    /// Ring position of the instruction `age` places behind the head.
+    fn pos(&self, age: usize) -> usize {
+        let pos = self.head_pos + age;
+        if pos >= self.slots.len() {
+            pos - self.slots.len()
+        } else {
+            pos
+        }
+    }
+
+    fn front(&self) -> Option<&Slot> {
+        (self.len > 0).then(|| &self.slots[self.head_pos])
+    }
+
+    /// Appends `slot` behind the youngest instruction; the window must not
+    /// be full.
+    fn push_back(&mut self, slot: Slot) {
+        let pos = self.pos(self.len);
+        self.slots[pos] = slot;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) {
+        self.head_pos = self.pos(1);
+        self.len -= 1;
+    }
+
+    /// The occupied slots, oldest first.
+    #[cfg(feature = "sanitize")]
+    fn iter(&self) -> impl Iterator<Item = &Slot> {
+        (0..self.len).map(|age| &self.slots[self.pos(age)])
+    }
+}
+
+/// A set of window ring positions, visited oldest first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct AgeSet {
+    words: Vec<u64>,
+}
+
+impl AgeSet {
+    fn new(entries: usize) -> Self {
+        AgeSet { words: vec![0; entries.div_ceil(64)] }
+    }
+
+    fn insert(&mut self, pos: usize) {
+        self.words[pos / 64] |= 1 << (pos % 64);
+    }
+
+    fn remove(&mut self, pos: usize) {
+        self.words[pos / 64] &= !(1 << (pos % 64));
+    }
+
+    #[cfg(feature = "sanitize")]
+    fn contains(&self, pos: usize) -> bool {
+        self.words[pos / 64] & (1 << (pos % 64)) != 0
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The oldest member: the first position at or after the window head
+    /// at `head_pos`, wrapping around the ring.
+    fn oldest(&self, head_pos: usize) -> Option<usize> {
+        let (hw, from_head) = (head_pos / 64, !0u64 << (head_pos % 64));
+        let at = |w: usize, bits: u64| w * 64 + bits.trailing_zeros() as usize;
+        let bits = self.words[hw] & from_head;
+        if bits != 0 {
+            return Some(at(hw, bits));
+        }
+        let mut later = (hw + 1..self.words.len()).chain(0..hw);
+        if let Some(w) = later.find(|&w| self.words[w] != 0) {
+            return Some(at(w, self.words[w]));
+        }
+        let bits = self.words[hw] & !from_head;
+        (bits != 0).then(|| at(hw, bits))
+    }
 }
 
 /// The dynamic superscalar processor core, generic over its instruction
@@ -55,6 +190,12 @@ struct Slot {
 /// issue with no functional-unit class restrictions, non-blocking loads
 /// against the [`MemSystem`], buffered stores written at commit, and fetch
 /// squelching on branch mispredictions until the branch resolves.
+///
+/// Scheduling is event-driven: each cycle's work scales with the
+/// instructions that change stage, not with the size of the window.
+/// Producers wake their waiting consumers into an age-ordered ready set,
+/// finishing units and fills pop from a completion queue, and address-ready
+/// loads wait in an age-ordered port set.
 ///
 /// # Example
 ///
@@ -75,7 +216,7 @@ pub struct Core<I> {
     cfg: CpuConfig,
     mem: MemSystem,
     stream: I,
-    rob: VecDeque<Slot>,
+    rob: Window,
     /// Id of the oldest instruction still in the window; every older id has
     /// retired and is therefore a ready source.
     head: u64,
@@ -88,19 +229,17 @@ pub struct Core<I> {
     /// Cycle useful fetch resumes after a resolved misprediction.
     fetch_resume_at: u64,
     retired_total: u64,
-    /// Slots in [`Stage::Dispatched`] — lets the issue scan stop as soon as
-    /// every candidate has been considered.
-    n_dispatched: usize,
-    /// Slots in [`Stage::WaitingPort`] — lets the memory-access scan skip
-    /// cycles with no address-ready loads.
-    n_port_waiting: usize,
-    /// Slots in [`Stage::Executing`] or [`Stage::MemPending`].
-    n_busy: usize,
-    /// Earliest `done` cycle among busy slots (`u64::MAX` when none): the
-    /// stage-update scan is a no-op until then, so it is skipped. These
-    /// occupancy fields only prune scans that could not match — they never
-    /// change which transition happens on which cycle.
-    next_done: u64,
+    /// Dispatched slots with every source ready: the issue candidates.
+    ready: AgeSet,
+    /// Loads in [`Stage::WaitingPort`].
+    port_waiting: AgeSet,
+    /// Slots in [`Stage::Executing`] or [`Stage::MemPending`] as
+    /// `(cycle, id)`, sorted latest first so the next one is at the end.
+    /// The cycle is the one whose stage update completes the slot: `done`,
+    /// or the next cycle if `done` has already passed. A sorted vector
+    /// beats a heap here: the queue holds a few dozen entries, and most
+    /// are pushed at or near the end.
+    completions: Vec<(u64, u64)>,
     /// Ring-buffer cycle tracer, when a trace window was requested.
     /// Events are recorded only in `probe` builds.
     tracer: Option<Tracer>,
@@ -125,11 +264,12 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// Returns the violated constraint if `cfg` is inconsistent.
     pub fn new(cfg: CpuConfig, mem: MemSystem, stream: I) -> Result<Self, CpuConfigError> {
         cfg.validate()?;
+        let entries = cfg.rob_entries;
         Ok(Core {
             cfg,
             mem,
             stream,
-            rob: VecDeque::new(),
+            rob: Window::new(entries),
             head: 0,
             now: 0,
             lsq_used: 0,
@@ -137,10 +277,9 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             waiting_branch: None,
             fetch_resume_at: 0,
             retired_total: 0,
-            n_dispatched: 0,
-            n_port_waiting: 0,
-            n_busy: 0,
-            next_done: u64::MAX,
+            ready: AgeSet::new(entries),
+            port_waiting: AgeSet::new(entries),
+            completions: Vec::with_capacity(entries),
             tracer: None,
             event_horizon: true,
             skipped_cycles: 0,
@@ -224,36 +363,13 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                     // counts against the deadlock watchdog exactly as the
                     // ticked cycles would have.
                     idle_cycles += self.fast_forward(horizon, &mut stats);
-                    if idle_cycles >= 100_000 {
-                        if let Some(t) = &self.tracer {
-                            eprintln!(
-                                "deadlock: last {} trace events before cycle {}:\n{}",
-                                t.len(),
-                                self.now,
-                                t.to_jsonl()
-                            );
-                        }
-                    }
-                    assert!(idle_cycles < 100_000, "pipeline deadlock at cycle {}", self.now);
+                    self.watchdog(idle_cycles);
                 }
             }
             self.step(&mut stats);
             if self.retired_total == last_retired {
                 idle_cycles += 1;
-                if idle_cycles >= 100_000 {
-                    // About to declare a deadlock: dump the trace window (if
-                    // one was kept) so the last cycles before the hang are
-                    // not lost with the panic.
-                    if let Some(t) = &self.tracer {
-                        eprintln!(
-                            "deadlock: last {} trace events before cycle {}:\n{}",
-                            t.len(),
-                            self.now,
-                            t.to_jsonl()
-                        );
-                    }
-                }
-                assert!(idle_cycles < 100_000, "pipeline deadlock at cycle {}", self.now);
+                self.watchdog(idle_cycles);
             } else {
                 idle_cycles = 0;
                 last_retired = self.retired_total;
@@ -271,6 +387,24 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             stats.cycles
         );
         stats
+    }
+
+    /// The deadlock watchdog: panics once `idle_cycles` cycles in a row
+    /// have retired nothing, first dumping the trace window (if one was
+    /// kept) so the last cycles before the hang are not lost with the
+    /// panic.
+    fn watchdog(&self, idle_cycles: u64) {
+        if idle_cycles >= DEADLOCK_CYCLES {
+            if let Some(t) = &self.tracer {
+                eprintln!(
+                    "deadlock: last {} trace events before cycle {}:\n{}",
+                    t.len(),
+                    self.now,
+                    t.to_jsonl()
+                );
+            }
+        }
+        assert!(idle_cycles < DEADLOCK_CYCLES, "pipeline deadlock at cycle {}", self.now);
     }
 
     /// Advances the machine one cycle.
@@ -297,11 +431,11 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     }
 
     /// The core's own event horizon: the earliest future cycle at which
-    /// its timed state changes without new input — the next functional-unit
-    /// or fill completion, or the end of a misprediction redirect. `None`
+    /// its timed state changes without new input — the head of the
+    /// completion queue, or the end of a misprediction redirect. `None`
     /// when nothing is scheduled.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        let mut horizon = if self.n_busy > 0 { self.next_done } else { u64::MAX };
+        let mut horizon = self.completions.last().map_or(u64::MAX, |&(due, _)| due);
         if self.waiting_branch.is_none() && self.fetch_resume_at > now {
             horizon = horizon.min(self.fetch_resume_at);
         }
@@ -320,20 +454,21 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     ///   cycle);
     /// - fetch is blocked, and stays blocked: a squelch ends at
     ///   `fetch_resume_at` (a horizon candidate) or at branch resolution
-    ///   (bounded by `next_done`); full windows drain only at retirement,
-    ///   which needs the head to complete (bounded by `next_done`);
+    ///   (bounded by the completion queue); full windows drain only at
+    ///   retirement, which needs the head to complete (bounded by the
+    ///   completion queue);
     /// - the oldest buffered store cannot drain before the horizon (blocked
     ///   drains wait on an MSHR, a horizon candidate);
-    /// - no dispatched instruction has all sources ready. Completed
-    ///   producers' results are already visible (`Done` timestamps never
-    ///   exceed the current cycle), so readiness is static over the span.
+    /// - the ready set is empty. Sources become ready only when a producer
+    ///   completes, which is a queue event, so it stays empty over the
+    ///   span.
     ///
     /// Every condition is stable until the returned horizon, which is
     /// always finite in a skippable state: a blocked front end implies a
     /// busy head (a dispatched head would be issue-ready) or a pending
     /// redirect, each of which schedules an event.
     fn skip_horizon(&self) -> Option<u64> {
-        if self.n_port_waiting != 0 {
+        if !self.port_waiting.is_empty() || !self.ready.is_empty() {
             return None;
         }
         if matches!(self.rob.front().map(|s| s.stage), Some(Stage::Done { .. })) {
@@ -341,9 +476,8 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         }
         let t = self.now + 1;
         let squelched = self.waiting_branch.is_some() || t < self.fetch_resume_at;
-        let rob_full = self.rob.len() == self.cfg.rob_entries;
         let lsq_blocked = self.staged.is_some() && self.lsq_used == self.cfg.lsq_entries;
-        if !squelched && !rob_full && !lsq_blocked {
+        if !squelched && !self.rob.is_full() && !lsq_blocked {
             return None;
         }
         let mut horizon = self.next_event(self.now).unwrap_or(u64::MAX);
@@ -352,31 +486,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             Some(c) if c <= t => return None, // a buffered store drains next cycle
             Some(c) => horizon = horizon.min(c),
         }
-        if horizon <= t || horizon == u64::MAX {
-            return None;
-        }
-        if self.any_issue_ready(t) {
-            return None;
-        }
-        Some(horizon)
-    }
-
-    /// `true` when any dispatched instruction could issue at cycle `now`.
-    fn any_issue_ready(&self, now: u64) -> bool {
-        let mut remaining = self.n_dispatched;
-        for slot in &self.rob {
-            if remaining == 0 {
-                break;
-            }
-            if slot.stage != Stage::Dispatched {
-                continue;
-            }
-            remaining -= 1;
-            if slot.inst.srcs().iter().flatten().all(|s| self.src_ready(*s, now)) {
-                return true;
-            }
-        }
-        false
+        (horizon > t && horizon != u64::MAX).then_some(horizon)
     }
 
     /// Jumps the clock to `horizon - 1`, charging the skipped cycles in
@@ -398,7 +508,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         let mut predicted = RunStats::default();
         if self.waiting_branch.is_some() || t < self.fetch_resume_at {
             predicted.fetch_stall_cycles = span;
-        } else if self.rob.len() == self.cfg.rob_entries {
+        } else if self.rob.is_full() {
             predicted.rob_full_cycles = span;
         } else {
             predicted.lsq_full_cycles = span;
@@ -437,13 +547,13 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         let observe = |c: &Self| {
             (
                 c.head,
+                c.rob.head_pos,
                 c.rob.len(),
                 c.lsq_used,
-                c.n_dispatched,
-                c.n_port_waiting,
-                c.n_busy,
-                c.next_done,
                 c.retired_total,
+                c.ready.clone(),
+                c.port_waiting.clone(),
+                c.completions.clone(),
                 c.waiting_branch,
                 c.fetch_resume_at,
                 c.staged.as_ref().map(|i| i.id()),
@@ -451,11 +561,12 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             )
         };
         let before = observe(self);
+        let retired = self.retired_total;
         let mut ticked = RunStats::default();
         for _ in 0..span {
             self.step(&mut ticked);
             assert!(
-                self.retired_total == before.7,
+                self.retired_total == retired,
                 "sanitize: lockstep: a skipped cycle retired instructions at {}",
                 self.now
             );
@@ -513,7 +624,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             Stage::MemPending { miss: true, .. } => StallCause::DramBusy,
             Stage::MemPending { miss: false, .. } => StallCause::DcachePortConflict,
             _ => {
-                if self.rob.len() == self.cfg.rob_entries {
+                if self.rob.is_full() {
                     StallCause::RobFull
                 } else if self.lsq_used == self.cfg.lsq_entries {
                     StallCause::LsqFull
@@ -526,16 +637,11 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         }
     }
 
-    /// Sanitizer: checks window bookkeeping after every cycle. Violations
-    /// are core bugs, so it panics.
+    /// Sanitizer: checks window bookkeeping after every cycle, recounting
+    /// the scheduling structures against the window. Violations are core
+    /// bugs, so it panics.
     #[cfg(feature = "sanitize")]
     fn assert_invariants(&self) {
-        assert!(
-            self.rob.len() <= self.cfg.rob_entries,
-            "sanitize: {} instructions in a {}-entry window",
-            self.rob.len(),
-            self.cfg.rob_entries
-        );
         assert!(
             self.lsq_used <= self.cfg.lsq_entries,
             "sanitize: {} loads/stores in a {}-entry queue",
@@ -561,130 +667,154 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                 self.head
             );
         }
-        // The scan-pruning occupancy counters must agree with a recount, or
-        // a scan will skip a slot whose transition is due.
-        let count = |f: fn(&Stage) -> bool| self.rob.iter().filter(|s| f(&s.stage)).count();
-        assert!(
-            self.n_dispatched == count(|s| matches!(s, Stage::Dispatched)),
-            "sanitize: dispatched counter {} disagrees with the window",
-            self.n_dispatched
-        );
-        assert!(
-            self.n_port_waiting == count(|s| matches!(s, Stage::WaitingPort)),
-            "sanitize: waiting-port counter {} disagrees with the window",
-            self.n_port_waiting
-        );
-        assert!(
-            self.n_busy
-                == count(|s| matches!(s, Stage::Executing { .. } | Stage::MemPending { .. })),
-            "sanitize: busy counter {} disagrees with the window",
-            self.n_busy
-        );
-        let earliest = self
+        // A source is unready while its producer is in the window and not
+        // done; the stored counts, the waiter lists and the ready set must
+        // all agree with that recount, or an instruction issues early or
+        // never.
+        let producer = |src: InstId| {
+            let age = usize::try_from(src.get().checked_sub(self.head)?).ok()?;
+            (age < self.rob.len()).then(|| self.rob.pos(age))
+        };
+        let unready = |slot: &Slot| {
+            slot.inst
+                .srcs()
+                .iter()
+                .flatten()
+                .filter_map(|&src| producer(src))
+                .filter(|&p| !matches!(self.rob.slots[p].stage, Stage::Done { .. }))
+                .count()
+        };
+        let mut links = 0;
+        for (age, slot) in self.rob.iter().enumerate() {
+            let pos = self.rob.pos(age);
+            let expected = unready(slot);
+            assert!(
+                usize::from(slot.unready) == expected,
+                "sanitize: instruction {} counts {} unready sources, the window {expected}",
+                slot.inst.id().get(),
+                slot.unready
+            );
+            let ready = slot.stage == Stage::Dispatched && expected == 0;
+            assert!(
+                self.ready.contains(pos) == ready,
+                "sanitize: ready set disagrees with the window on instruction {}",
+                slot.inst.id().get()
+            );
+            assert!(
+                self.port_waiting.contains(pos) == (slot.stage == Stage::WaitingPort),
+                "sanitize: waiting-port set disagrees with the window on instruction {}",
+                slot.inst.id().get()
+            );
+            let mut link = slot.waiters;
+            while link != NO_WAITER {
+                let (consumer, operand) = ((link >> 1) as usize, (link & 1) as usize);
+                let src = self.rob.slots[consumer].inst.srcs()[operand];
+                assert!(
+                    src == Some(slot.inst.id()),
+                    "sanitize: a waiter of instruction {} does not name it as a source",
+                    slot.inst.id().get()
+                );
+                links += 1;
+                link = self.rob.slots[consumer].next_waiter[operand];
+            }
+        }
+        let counted: usize = self.rob.iter().map(|s| usize::from(s.unready)).sum();
+        assert!(links == counted, "sanitize: {links} waiter links for {counted} unready sources");
+        for pos in 0..self.cfg.rob_entries {
+            let age = (pos + self.cfg.rob_entries - self.rob.head_pos) % self.cfg.rob_entries;
+            if age >= self.rob.len() {
+                assert!(
+                    !self.ready.contains(pos) && !self.port_waiting.contains(pos),
+                    "sanitize: vacant ring position {pos} is in a scheduling set"
+                );
+            }
+        }
+        // The completion queue holds exactly the busy slots, each due in
+        // the cycle whose stage update completes it.
+        let mut expected: Vec<_> = self
             .rob
             .iter()
             .filter_map(|s| match s.stage {
-                Stage::Executing { done } | Stage::MemPending { done, .. } => Some(done),
+                Stage::Executing { done } | Stage::MemPending { done, .. } => {
+                    Some((done.max(self.now + 1), s.inst.id().get()))
+                }
                 _ => None,
             })
-            .min();
+            .collect();
+        expected.sort_unstable_by(|a, b| b.cmp(a));
         assert!(
-            earliest.is_none_or(|e| self.next_done <= e),
-            "sanitize: next-done watermark {} is later than a busy slot at {:?}",
-            self.next_done,
-            earliest
+            self.completions == expected,
+            "sanitize: completion queue disagrees with the window's busy slots"
         );
     }
 
-    /// Moves finished executions along and resolves waiting branches.
+    /// Moves finished executions along, wakes their consumers and resolves
+    /// waiting branches.
+    ///
+    /// Every queued slot is due at or after the current cycle (stage
+    /// updates run on every ticked cycle, and a skip stops short of the
+    /// queue head), so this cycle's pops are all due now and come out of
+    /// the `(cycle, id)` queue in age order.
     fn update_stages(&mut self, now: u64) {
-        if self.n_busy == 0 || self.next_done > now {
-            return; // nothing can finish yet: the scan would be a no-op
-        }
-        let mut next_done = u64::MAX;
-        let mut resolved: Option<(InstId, u64)> = None;
-        for i in 0..self.rob.len() {
-            match self.rob[i].stage {
-                Stage::Executing { done } if done <= now => {
-                    self.n_busy -= 1;
-                    let inst = self.rob[i].inst;
-                    if inst.op().is_load() {
-                        self.rob[i].stage = Stage::WaitingPort;
-                        self.n_port_waiting += 1;
-                    } else {
-                        if inst.op().is_control() && inst.mispredicted() {
-                            resolved = Some((inst.id(), done));
-                        }
-                        self.rob[i].stage = Stage::Done { at: done };
-                        #[cfg(feature = "probe")]
-                        self.trace(TraceEvent::ExecDone { cycle: now, inst: inst.id().get() });
-                    }
-                }
-                Stage::MemPending { done, .. } if done <= now => {
-                    self.n_busy -= 1;
-                    self.rob[i].stage = Stage::Done { at: done };
-                    #[cfg(feature = "probe")]
-                    {
-                        let inst = self.rob[i].inst.id().get();
-                        self.trace(TraceEvent::ExecDone { cycle: now, inst });
-                    }
-                }
-                Stage::Executing { done } | Stage::MemPending { done, .. } => {
-                    next_done = next_done.min(done);
-                }
-                _ => {}
+        while let Some(&(due, id)) = self.completions.last() {
+            if due > now {
+                break;
             }
-        }
-        self.next_done = next_done;
-        if let Some((id, done)) = resolved {
-            if self.waiting_branch == Some(id) {
+            self.completions.pop();
+            let pos = self.rob.pos((id - self.head) as usize);
+            let slot = &mut self.rob.slots[pos];
+            let inst = slot.inst;
+            let done = match slot.stage {
+                Stage::Executing { .. } if inst.op().is_load() => {
+                    slot.stage = Stage::WaitingPort;
+                    self.port_waiting.insert(pos);
+                    continue;
+                }
+                Stage::Executing { done } | Stage::MemPending { done, .. } => done,
+                _ => continue,
+            };
+            slot.stage = Stage::Done { at: done };
+            if self.waiting_branch == Some(inst.id()) {
                 self.waiting_branch = None;
                 self.fetch_resume_at = done + self.cfg.redirect_penalty;
             }
+            self.wake(pos);
+            #[cfg(feature = "probe")]
+            self.trace(TraceEvent::ExecDone { cycle: now, inst: inst.id().get() });
         }
     }
 
-    /// `true` when `src` has produced its value by `now`.
-    fn src_ready(&self, src: InstId, now: u64) -> bool {
-        if src.get() < self.head {
-            return true; // producer already retired
-        }
-        let idx = (src.get() - self.head) as usize;
-        match self.rob.get(idx) {
-            Some(slot) => matches!(slot.stage, Stage::Done { at } if at <= now),
-            None => true,
+    /// Broadcasts the result of the slot at `pos`: each waiting consumer
+    /// has one source fewer to wait for, and enters the ready set when it
+    /// has none left.
+    fn wake(&mut self, pos: usize) {
+        let mut link = std::mem::replace(&mut self.rob.slots[pos].waiters, NO_WAITER);
+        while link != NO_WAITER {
+            let (at, operand) = ((link >> 1) as usize, (link & 1) as usize);
+            let consumer = &mut self.rob.slots[at];
+            consumer.unready -= 1;
+            if consumer.unready == 0 {
+                self.ready.insert(at);
+            }
+            link = consumer.next_waiter[operand];
         }
     }
 
-    /// Issues ready instructions up to the machine width; returns how many
-    /// issued this cycle.
+    /// Issues the oldest ready instructions up to the machine width;
+    /// returns how many issued this cycle.
     fn issue(&mut self, now: u64) -> u32 {
         let mut issued = 0;
-        // Scan only as far as the last dispatched slot: `remaining` counts
-        // the candidates left ahead, so the tail of the window is skipped.
-        let mut remaining = self.n_dispatched;
-        for i in 0..self.rob.len() {
-            if remaining == 0 || issued == self.cfg.issue_width {
-                break;
-            }
-            if self.rob[i].stage != Stage::Dispatched {
-                continue;
-            }
-            remaining -= 1;
-            let inst = self.rob[i].inst;
-            let ready = inst.srcs().iter().flatten().all(|s| self.src_ready(*s, now));
-            if !ready {
-                continue;
-            }
-            let latency = u64::from(self.cfg.latencies.latency(inst.op()));
-            let done = now + latency;
-            self.rob[i].stage = Stage::Executing { done };
-            self.n_dispatched -= 1;
-            self.n_busy += 1;
-            self.next_done = self.next_done.min(done);
+        while issued < self.cfg.issue_width {
+            let Some(pos) = self.ready.oldest(self.rob.head_pos) else { break };
+            self.ready.remove(pos);
+            let slot = &mut self.rob.slots[pos];
+            let id = slot.inst.id().get();
+            let done = now + u64::from(self.cfg.latencies.latency(slot.inst.op()));
+            slot.stage = Stage::Executing { done };
+            self.schedule(done.max(now + 1), id);
             issued += 1;
             #[cfg(feature = "probe")]
-            self.trace(TraceEvent::Issue { cycle: now, inst: inst.id().get() });
+            self.trace(TraceEvent::Issue { cycle: now, inst: id });
         }
         issued
     }
@@ -696,26 +826,18 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// bypass it to the ports that cycle — the conflict replays from the
     /// oldest denied load, as in bank-conflict replay schemes.
     fn access_memory(&mut self, now: u64) -> Option<RejectReason> {
-        let mut remaining = self.n_port_waiting;
-        for i in 0..self.rob.len() {
-            if remaining == 0 {
-                break; // no address-ready loads left ahead
-            }
-            if self.rob[i].stage != Stage::WaitingPort {
-                continue;
-            }
-            remaining -= 1;
-            let addr = self.rob[i].inst.addr().expect("loads carry addresses");
+        while let Some(pos) = self.port_waiting.oldest(self.rob.head_pos) {
+            let addr = self.rob.slots[pos].inst.addr().expect("loads carry addresses");
             #[cfg(feature = "probe")]
-            let inst = self.rob[i].inst.id().get();
+            let inst = self.rob.slots[pos].inst.id().get();
             match self.mem.try_load(addr) {
                 LoadResponse::LineBufferHit { complete_at } => {
-                    self.pend(i, complete_at.max(now + 1), false);
+                    self.pend(pos, complete_at.max(now + 1), false);
                     #[cfg(feature = "probe")]
                     self.trace(TraceEvent::LineBufferHit { cycle: now, inst, addr });
                 }
                 LoadResponse::Hit { complete_at } => {
-                    self.pend(i, complete_at.max(now + 1), false);
+                    self.pend(pos, complete_at.max(now + 1), false);
                     #[cfg(feature = "probe")]
                     {
                         let bank = self.bank_of(addr);
@@ -723,7 +845,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                     }
                 }
                 LoadResponse::Miss { complete_at } => {
-                    self.pend(i, complete_at.max(now + 1), true);
+                    self.pend(pos, complete_at.max(now + 1), true);
                     #[cfg(feature = "probe")]
                     {
                         let bank = self.bank_of(addr);
@@ -748,13 +870,20 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         None
     }
 
-    /// Marks the waiting-port load in slot `i` as accepted by the memory
-    /// system, maintaining the occupancy counters.
-    fn pend(&mut self, i: usize, done: u64, miss: bool) {
-        self.rob[i].stage = Stage::MemPending { done, miss };
-        self.n_port_waiting -= 1;
-        self.n_busy += 1;
-        self.next_done = self.next_done.min(done);
+    /// Marks the waiting-port load at ring position `pos` as accepted by
+    /// the memory system, due back at `done`.
+    fn pend(&mut self, pos: usize, done: u64, miss: bool) {
+        self.port_waiting.remove(pos);
+        let slot = &mut self.rob.slots[pos];
+        slot.stage = Stage::MemPending { done, miss };
+        let id = slot.inst.id().get();
+        self.schedule(done, id);
+    }
+
+    /// Queues instruction `id` to complete in the stage update of `cycle`.
+    fn schedule(&mut self, cycle: u64, id: u64) {
+        let at = self.completions.partition_point(|&entry| entry > (cycle, id));
+        self.completions.insert(at, (cycle, id));
     }
 
     /// The cache bank `addr` maps to (zero for unbanked port models).
@@ -814,7 +943,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             return;
         }
         for _ in 0..self.cfg.fetch_width {
-            if self.rob.len() == self.cfg.rob_entries {
+            if self.rob.is_full() {
                 saturating_count(&mut stats.rob_full_cycles, 1);
                 break;
             }
@@ -836,18 +965,44 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             if inst.is_mem() {
                 self.lsq_used += 1;
             }
-            let mispredict = inst.op().is_control() && inst.mispredicted();
-            self.rob.push_back(Slot { inst, dispatched_at: now, stage: Stage::Dispatched });
-            self.n_dispatched += 1;
+            self.dispatch(inst, now);
             #[cfg(feature = "probe")]
             self.trace(TraceEvent::Fetch { cycle: now, inst: inst.id().get() });
-            if mispredict {
+            if inst.op().is_control() && inst.mispredicted() {
                 // Fetch down the wrong path is not modeled; the front end
                 // simply produces nothing until the branch resolves.
                 self.waiting_branch = Some(inst.id());
                 break;
             }
         }
+    }
+
+    /// Enters `inst` into the window behind the youngest instruction. Each
+    /// source whose producer is in the window and not yet done joins that
+    /// producer's waiter list; with none, `inst` is ready at once.
+    fn dispatch(&mut self, inst: DynInst, now: u64) {
+        let pos = self.rob.pos(self.rob.len());
+        let mut slot =
+            Slot { inst, dispatched_at: now, stage: Stage::Dispatched, ..Slot::vacant() };
+        for (operand, src) in inst.srcs().iter().enumerate() {
+            // A retired producer (older than the head) is always ready.
+            let Some(age) = src.and_then(|s| s.get().checked_sub(self.head)) else { continue };
+            if age >= self.rob.len() as u64 {
+                continue;
+            }
+            let at = self.rob.pos(age as usize);
+            let producer = &mut self.rob.slots[at];
+            if matches!(producer.stage, Stage::Done { .. }) {
+                continue;
+            }
+            slot.next_waiter[operand] = producer.waiters;
+            producer.waiters = (pos << 1 | operand) as u32;
+            slot.unready += 1;
+        }
+        if slot.unready == 0 {
+            self.ready.insert(pos);
+        }
+        self.rob.push_back(slot);
     }
 }
 
