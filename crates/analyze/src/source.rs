@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn cfg_all_test_blocks_are_marked() {
-        let text = "#[cfg(all(test, feature = \"probe\"))]\nmod probe_tests {\n    fn t() { x.unwrap(); }\n}\nfn live() {}\n";
+        let text = "#[cfg(all(test, feature = \"sanitize\"))]\nmod sanitize_tests {\n    fn t() { x.unwrap(); }\n}\nfn live() {}\n";
         let f = parse(text);
         assert!(f.lines[0].is_test);
         assert!(f.lines[2].is_test);

@@ -7,12 +7,11 @@
 //! attribution, the IPC, and the host-side simulation throughput.
 //!
 //! ```text
-//! cargo run --release -p hbc-bench --features probe --bin probes -- [--fast|--full] [--json]
+//! cargo run --release -p hbc-bench --bin probes -- [--fast|--full] [--json]
 //! ```
 //!
 //! `--json` emits one machine-readable document on standard output (the CI
-//! stall-breakdown artifact) instead of tables. Without the `probe`
-//! feature the binary still runs but every stall bucket is zero.
+//! stall-breakdown artifact) instead of tables.
 
 use std::time::Instant;
 
@@ -50,12 +49,6 @@ fn main() {
         })
         .collect();
     let params = hbc_bench::params_from(args);
-    if !cfg!(feature = "probe") {
-        eprintln!(
-            "note: built without the `probe` feature; stall buckets are zero \
-             (rebuild with `--features probe`)"
-        );
-    }
 
     let t_all = Instant::now();
     let runs = params.run_cells(params.benchmarks.len() * CONFIGS.len(), |i| {

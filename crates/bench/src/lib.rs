@@ -7,7 +7,7 @@
 //! * `--reps` — restrict any preset to the three representatives;
 //! * `--seed N` — workload seed;
 //! * `--probes` — print a stall-cause breakdown and probe-registry table
-//!   next to the figure (full per-cycle data needs the `probe` feature);
+//!   next to the figure;
 //! * `--trace-window N` — retain and dump the last N pipeline/cache events
 //!   of each probe run as JSON lines;
 //! * `--jobs N` — worker threads for the experiment sweeps (`0` or omitted:
@@ -138,10 +138,7 @@ pub fn with_spans<R>(params: &ExpParams, f: impl FnOnce() -> R) -> R {
 /// was requested) the retained pipeline events as JSON lines.
 ///
 /// Does nothing unless the user passed `--probes` or `--trace-window`, so
-/// figure binaries call it unconditionally after printing their table. When
-/// the harness is built without the `probe` feature the event counters are
-/// still exact but the per-cycle stall attribution and trace are empty; a
-/// note says so.
+/// figure binaries call it unconditionally after printing their table.
 ///
 /// # Example
 ///
@@ -165,12 +162,6 @@ pub fn probe_report(params: &ExpParams, configs: &[(&str, SimConfig<'_>)]) -> St
     use std::fmt::Write as _;
     if !params.probes && params.trace_window == 0 {
         return String::new();
-    }
-    if !cfg!(feature = "probe") {
-        eprintln!(
-            "note: built without the `probe` feature; stall attribution and traces are \
-             empty (rebuild with `--features probe` for per-cycle data)"
-        );
     }
     let blocks = params.run_cells(params.benchmarks.len() * configs.len(), |i| {
         let b = params.benchmarks[i / configs.len()];

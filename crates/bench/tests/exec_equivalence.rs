@@ -2,10 +2,9 @@
 //! with `--jobs 4` must be byte-identical to the same sweep run with
 //! `--jobs 1`, for the figure tables and the probe exports alike.
 //!
-//! These run in every feature combination — plain, `--features sanitize`,
-//! `--features probe` — because the engine's determinism argument (cell
-//! independence, fixed cell→index mapping, index-ordered merge) must hold
-//! no matter what instrumentation is compiled in.
+//! These run plain and with `--features sanitize`, because the engine's
+//! determinism argument (cell independence, fixed cell→index mapping,
+//! index-ordered merge) must hold whatever checks are compiled in.
 
 use hbc_core::experiments::{fig3, fig5, fig6, ExpParams};
 use hbc_core::Benchmark;

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  "HBCW"
-//!      4     2  protocol version, little-endian (in [`MIN_VERSION`]..=[`VERSION`])
+//!      4     2  protocol version, little-endian (exactly [`VERSION`])
 //!      6     1  message kind
 //!      7     1  reserved (0)
 //!      8     4  payload length, little-endian (≤ [`MAX_PAYLOAD`])
@@ -26,13 +26,10 @@
 //! Version 2 extended the `Run` payload with an optional distributed
 //! trace context ([`TraceCtx`]: the coordinator's request ID plus the
 //! parent span ID of its forward span) and added the `Trace`/`TraceOk`
-//! frame pair for span-ring federation. The decoder accepts every
-//! version in `MIN_VERSION..=VERSION`: a version-1 `Run` payload (no
-//! trace suffix) decodes to `trace: None`, so worker-side spans simply
-//! degrade to an unlinked local root — a skewed peer is never an error.
-//! Rolling upgrades therefore go workers first (a v2 worker accepts v1
-//! coordinators), coordinator last. [`encode_versioned`] exists so the
-//! property suite can impersonate an old peer on both directions.
+//! frame pair for span-ring federation. A build speaks exactly one
+//! version: any other in a header is a typed
+//! [`WireError::VersionMismatch`], so coordinator and workers upgrade
+//! together.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -41,12 +38,9 @@ use std::time::Duration;
 
 use hbc_serve::hash::sha256;
 
-/// Current protocol version; bumped on any frame or payload change.
+/// The protocol version, the only one a build encodes or accepts;
+/// bumped on any frame or payload change.
 pub const VERSION: u16 = 2;
-/// Oldest protocol version this build still decodes. Frames between
-/// `MIN_VERSION` and [`VERSION`] are accepted; anything outside is a
-/// typed [`WireError::VersionMismatch`].
-pub const MIN_VERSION: u16 = 1;
 /// Frame magic, first on the wire.
 pub const MAGIC: [u8; 4] = *b"HBCW";
 /// Fixed header size in bytes.
@@ -56,7 +50,7 @@ pub const HEADER_LEN: usize = 16;
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
 /// The distributed trace context a coordinator threads through a `Run`
-/// frame (protocol version 2+), so worker-side spans join the
+/// frame, so worker-side spans join the
 /// coordinator's causal tree instead of starting a fresh local root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
@@ -76,8 +70,8 @@ pub enum Msg {
     Run {
         /// The `RunRequest` spec as JSON text.
         spec_json: String,
-        /// Distributed trace context (version 2+). `None` from a
-        /// version-1 peer — worker spans then start a local root.
+        /// Distributed trace context. `None` when the sender traces
+        /// nothing — worker spans then start a local root.
         trace: Option<TraceCtx>,
     },
     /// Worker → coordinator: the spec's figure payload.
@@ -120,10 +114,10 @@ pub enum Msg {
         /// The worker's self-reported identity.
         worker_id: String,
     },
-    /// Coordinator → worker: export your span ring (version 2+), for
+    /// Coordinator → worker: export your span ring, for
     /// `GET /trace?federated=1` federation.
     Trace,
-    /// Worker → coordinator: the span ring snapshot (version 2+).
+    /// Worker → coordinator: the span ring snapshot.
     TraceOk {
         /// The worker's self-reported identity (its bound address).
         worker_id: String,
@@ -165,8 +159,7 @@ pub enum WireError {
     Truncated,
     /// The first four bytes are not [`MAGIC`].
     BadMagic([u8; 4]),
-    /// The peer speaks a protocol version outside
-    /// [`MIN_VERSION`]`..=`[`VERSION`].
+    /// The peer speaks a protocol version other than [`VERSION`].
     VersionMismatch {
         /// The version the frame declared.
         got: u16,
@@ -196,8 +189,7 @@ impl fmt::Display for WireError {
             WireError::VersionMismatch { got } => {
                 write!(
                     f,
-                    "protocol version mismatch: peer speaks {got}, this build accepts \
-                     {MIN_VERSION}..={VERSION}"
+                    "protocol version mismatch: peer speaks {got}, this build speaks {VERSION}"
                 )
             }
             WireError::UnknownKind(k) => write!(f, "unknown message kind {k}"),
@@ -271,10 +263,6 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string"))
     }
 
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
     fn finish(self) -> Result<(), WireError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -284,22 +272,18 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn encode_payload(msg: &Msg, version: u16) -> Vec<u8> {
+fn encode_payload(msg: &Msg) -> Vec<u8> {
     let mut out = Vec::new();
     match msg {
         Msg::Run { spec_json, trace } => {
             put_str(&mut out, spec_json);
-            // A version-1 payload is the bare spec: the trace context is
-            // dropped, exactly what an old coordinator would have sent.
-            if version >= 2 {
-                match trace {
-                    Some(ctx) => {
-                        out.push(1);
-                        out.extend_from_slice(&ctx.request.to_le_bytes());
-                        out.extend_from_slice(&ctx.parent.to_le_bytes());
-                    }
-                    None => out.push(0),
+            match trace {
+                Some(ctx) => {
+                    out.push(1);
+                    out.extend_from_slice(&ctx.request.to_le_bytes());
+                    out.extend_from_slice(&ctx.parent.to_le_bytes());
                 }
+                None => out.push(0),
             }
         }
         Msg::RunOk { cache, spec_hash, body } => {
@@ -339,17 +323,10 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Msg, WireError> {
     let msg = match kind {
         1 => {
             let spec_json = r.string()?;
-            // Version 1 ends here; version 2 appends a presence flag and
-            // the trace IDs. Decoding by remaining bytes (rather than the
-            // header version) keeps one tolerant reader for both.
-            let trace = if r.remaining() == 0 {
-                None
-            } else {
-                match r.u8()? {
-                    0 => None,
-                    1 => Some(TraceCtx { request: r.u64()?, parent: r.u64()? }),
-                    _ => return Err(WireError::Malformed("trace presence flag is not 0/1")),
-                }
+            let trace = match r.u8()? {
+                0 => None,
+                1 => Some(TraceCtx { request: r.u64()?, parent: r.u64()? }),
+                _ => return Err(WireError::Malformed("trace presence flag is not 0/1")),
             };
             Msg::Run { spec_json, trace }
         }
@@ -392,24 +369,10 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Msg, WireError> {
 
 /// Encodes `msg` as one complete frame (header + payload) at [`VERSION`].
 pub fn encode(msg: &Msg) -> Vec<u8> {
-    encode_versioned(msg, VERSION)
-}
-
-/// Encodes `msg` as one frame declaring (and encoding the payload at)
-/// `version`, clamped to `MIN_VERSION..=VERSION`. Kinds introduced after
-/// `MIN_VERSION` (`Trace`/`TraceOk`) always encode at the version that
-/// introduced them. This is how the property suite impersonates an old
-/// peer: a version-1 `Run` frame carries no trace suffix and must decode
-/// to `trace: None` on a current build.
-pub fn encode_versioned(msg: &Msg, version: u16) -> Vec<u8> {
-    let mut version = version.clamp(MIN_VERSION, VERSION);
-    if matches!(msg, Msg::Trace | Msg::TraceOk { .. }) {
-        version = version.max(2);
-    }
-    let payload = encode_payload(msg, version);
+    let payload = encode_payload(msg);
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
     frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&version.to_le_bytes());
+    frame.extend_from_slice(&VERSION.to_le_bytes());
     frame.push(msg.kind());
     frame.push(0);
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -426,7 +389,7 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize, u32), WireError
         return Err(WireError::BadMagic(magic));
     }
     let version = u16::from_le_bytes([header[4], header[5]]);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(WireError::VersionMismatch { got: version });
     }
     let kind = header[6];
@@ -597,30 +560,26 @@ mod tests {
     }
 
     #[test]
-    fn version_1_run_frames_degrade_to_an_unlinked_trace() {
-        // An old coordinator (or a new one impersonating it) encodes the
-        // bare spec. A current build must decode it — trace None, never
-        // an error: that is the rolling-upgrade contract.
-        let msg = Msg::Run {
-            spec_json: r#"{"experiment":"fig4"}"#.to_string(),
-            trace: Some(TraceCtx { request: 9, parent: 4 }),
-        };
-        let v1 = encode_versioned(&msg, 1);
-        assert_eq!(u16::from_le_bytes([v1[4], v1[5]]), 1, "header declares version 1");
-        match decode(&v1).expect("a v1 frame decodes on a v2 build") {
-            Msg::Run { spec_json, trace } => {
-                assert_eq!(spec_json, r#"{"experiment":"fig4"}"#);
-                assert_eq!(trace, None, "the trace context is dropped, not misparsed");
-            }
-            other => panic!("expected Run, got {other:?}"),
-        }
+    fn version_1_headers_are_a_mismatch() {
+        let mut old = encode(&Msg::Run { spec_json: "{}".to_string(), trace: None });
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(decode(&old), Err(WireError::VersionMismatch { got: 1 })));
+        let mut stream = &old[..];
+        assert!(matches!(read_msg(&mut stream), Err(WireError::VersionMismatch { got: 1 })));
     }
 
     #[test]
-    fn trace_frames_always_declare_version_2() {
-        let frame = encode_versioned(&Msg::Trace, 1);
-        assert_eq!(u16::from_le_bytes([frame[4], frame[5]]), 2);
-        assert!(matches!(decode(&frame), Ok(Msg::Trace)));
+    fn run_frames_without_a_trace_flag_are_malformed() {
+        // The bare spec, as a version-1 peer encoded it, under a current
+        // header: the presence flag is required.
+        let mut payload = Vec::new();
+        put_str(&mut payload, "{}");
+        let mut frame = encode(&Msg::Health);
+        frame[6] = 1; // the Run kind
+        frame[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame[12..16].copy_from_slice(&checksum(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        assert!(matches!(decode(&frame), Err(WireError::Malformed(_))));
     }
 
     #[test]

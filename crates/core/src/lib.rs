@@ -30,6 +30,7 @@ pub mod exec;
 pub mod exectime;
 pub mod experiments;
 mod misses;
+pub mod pins;
 pub mod report;
 mod sim;
 pub mod spans;

@@ -163,16 +163,14 @@ impl SimBuilder {
 
     /// Exports a [`ProbeRegistry`] snapshot with the result (`--probes`).
     /// The registry is built after the run, so enabling it never perturbs
-    /// the simulation; the per-cycle stall and issue-width probes carry
-    /// data only when the `probe` feature is compiled in.
+    /// the simulation.
     pub fn probes(mut self, enabled: bool) -> Self {
         self.probes = enabled;
         self
     }
 
     /// Retains the last `events` pipeline/cache events as a JSONL trace
-    /// (`--trace-window N`; zero disables). Events are recorded only in
-    /// `probe` builds.
+    /// (`--trace-window N`; zero disables).
     pub fn trace_window(mut self, events: u64) -> Self {
         self.trace_window = events;
         self
@@ -440,11 +438,8 @@ mod tests {
         // Shim equivalence: the legacy getters and the registry read the
         // same underlying fields.
         assert_eq!(reg.get("mem.lb.hits"), Some(probed.mem().lb_hits));
-        #[cfg(feature = "probe")]
-        {
-            assert_eq!(reg.get("cpu.stall.commit").map(|c| c > 0), Some(true));
-            assert!(probed.trace_jsonl().is_some_and(|t| !t.is_empty()));
-        }
+        assert_eq!(reg.get("cpu.stall.commit").map(|c| c > 0), Some(true));
+        assert!(probed.trace_jsonl().is_some_and(|t| !t.is_empty()));
     }
 
     #[test]

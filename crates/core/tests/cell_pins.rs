@@ -2,10 +2,10 @@
 //!
 //! The golden figure CSVs print IPC to three decimals, so a one-cycle drift
 //! in a cell passes them. This test folds the exact outputs of a fixed
-//! matrix of small cells — `RunStats`, `MemStats`, total simulated cycles,
-//! skipped cycles and skip spans — into one FNV-1a digest and pins it.
-//! `probe` builds also fold in each cell's probe export and a 64-event
-//! trace window, against a second pinned digest.
+//! matrix of small cells — `RunStats` (stall attribution and issue-width
+//! histogram included), `MemStats`, total simulated cycles, skipped cycles,
+//! skip spans, the probe export and a 64-event trace window — into one
+//! FNV-1a digest and pins it as `hbc_core::pins::CELLS`.
 //!
 //! The matrix covers every port organization the figures sweep (ideal 1, 2
 //! and 4 ports, 2 and 8 banks, duplicate), hit times 1–3, the line buffer
@@ -14,9 +14,10 @@
 //! the warm memo serves most of them from its recorded streams.
 //!
 //! If a deliberate modelling change moves a cell, print the new digest
-//! with `cargo test -p hbc-core --test cell_pins -- --nocapture` (and again
-//! with `--features probe`) and update the constant.
+//! with `cargo test -p hbc-core --test cell_pins -- --nocapture` and update
+//! the constant in `crates/core/src/pins.rs`.
 
+use hbc_core::pins;
 use hbc_core::{Benchmark, SimBuilder};
 use hbc_mem::PortModel;
 
@@ -31,26 +32,6 @@ const PORTS: [PortModel; 6] = [
     PortModel::Duplicate,
 ];
 
-/// Digest of the default build: simulation results only.
-#[cfg(not(feature = "probe"))]
-const PINNED: u64 = 0xce1c_a4c0_f29d_f36b;
-
-/// Digest of the `probe` build: simulation results (whose stall and
-/// issue-width fields are now populated), probe exports and trace windows.
-#[cfg(feature = "probe")]
-const PINNED: u64 = 0x8267_5f3d_b925_babc;
-
-/// FNV-1a, fed incrementally.
-struct Fnv(u64);
-
-impl Fnv {
-    fn write(&mut self, text: &str) {
-        for b in text.bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
 /// One small cell: short enough that the whole matrix stays well under
 /// three seconds in a debug build, long enough that the window fills,
 /// loads miss, ports reject and DRAM stalls are skipped.
@@ -61,8 +42,8 @@ fn cell(benchmark: Benchmark) -> SimBuilder {
         .warmup(500)
         .cache_warm(4_000)
         .cache_size_kib(8)
-        .probes(cfg!(feature = "probe"))
-        .trace_window(if cfg!(feature = "probe") { 64 } else { 0 })
+        .probes(true)
+        .trace_window(64)
 }
 
 fn cells() -> Vec<SimBuilder> {
@@ -84,13 +65,13 @@ fn cells() -> Vec<SimBuilder> {
 
 #[test]
 fn cell_results_are_pinned() {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut text = String::new();
     let (mut rejections, mut skipped) = (0, 0);
     for sim in cells() {
         let r = sim.run();
         rejections += r.mem().load_rejections;
         skipped += r.skipped_cycles();
-        h.write(&format!(
+        text.push_str(&format!(
             "{:?}|{:?}|{}|{}|{}\n",
             r.run(),
             r.mem(),
@@ -98,13 +79,12 @@ fn cell_results_are_pinned() {
             r.skipped_cycles(),
             r.skip_spans()
         ));
-        if cfg!(feature = "probe") {
-            h.write(&r.probes().map(|p| p.to_json()).unwrap_or_default());
-            h.write(r.trace_jsonl().unwrap_or_default());
-        }
+        text.push_str(&r.probes().map(|p| p.to_json()).unwrap_or_default());
+        text.push_str(r.trace_jsonl().unwrap_or_default());
     }
     // The pin is vacuous for paths the matrix never reaches.
     assert!(rejections > 0 && skipped > 0, "{rejections} rejections, {skipped} skipped cycles");
-    println!("cell digest: {:#018x}", h.0);
-    assert_eq!(h.0, PINNED, "a pinned cell result moved (digest {:#018x})", h.0);
+    let digest = pins::fnv1a(text.as_bytes());
+    println!("cell digest: {digest:#018x}");
+    assert_eq!(digest, pins::CELLS, "a pinned cell result moved (digest {digest:#018x})");
 }

@@ -2,12 +2,18 @@
 
 use hbc_isa::{DynInst, ExecMode, InstId, OpClass};
 use hbc_mem::{LoadResponse, MemSystem, RejectReason};
-use hbc_probe::{saturating_count, Tracer};
-#[cfg(feature = "probe")]
-use hbc_probe::{StallCause, TraceEvent};
+use hbc_probe::{saturating_count, StallCause, TraceEvent, Tracer};
 
 use crate::config::{CpuConfig, CpuConfigError};
 use crate::stats::RunStats;
+
+/// Pushes one event into the trace ring. Out of line and cold, so the
+/// per-event check in [`Core::trace`] is all an untraced run executes.
+#[cold]
+#[inline(never)]
+fn push_event(tracer: &mut Tracer, ev: TraceEvent) {
+    tracer.push(ev);
+}
 
 /// Cycles without a retirement after which [`Core::run`] declares a
 /// deadlock.
@@ -33,9 +39,7 @@ enum Stage {
         /// Cycle the data returns.
         done: u64,
         /// Whether the access left the primary cache (miss) — the stall
-        /// attributor charges such waits to the levels below. Only read in
-        /// `probe` builds.
-        #[cfg_attr(not(feature = "probe"), allow(dead_code))]
+        /// attributor charges such waits to the levels below.
         miss: bool,
     },
     /// Finished; eligible to retire in order.
@@ -241,7 +245,6 @@ pub struct Core<I> {
     /// are pushed at or near the end.
     completions: Vec<(u64, u64)>,
     /// Ring-buffer cycle tracer, when a trace window was requested.
-    /// Events are recorded only in `probe` builds.
     tracer: Option<Tracer>,
     /// Whether [`Core::run`] may fast-forward through provably empty
     /// cycles (the event-horizon engine); on by default.
@@ -306,9 +309,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     }
 
     /// Enables the cycle tracer, retaining the last `capacity` pipeline and
-    /// cache events. Events are recorded only when the `probe` feature is
-    /// compiled in; without it the tracer stays empty so release figure
-    /// runs pay nothing.
+    /// cache events.
     pub fn enable_trace(&mut self, capacity: usize) {
         self.tracer = Some(Tracer::new(capacity));
     }
@@ -319,11 +320,13 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         self.tracer.as_ref().map(|t| t.to_jsonl())
     }
 
-    /// Records `ev` when tracing is enabled (`probe` builds only).
-    #[cfg(feature = "probe")]
+    /// Records `ev` when tracing is enabled. Only the `Option` test is
+    /// inlined into the per-event call sites; the push stays out of line,
+    /// so an untraced run pays one predictable branch per event.
+    #[inline(always)]
     fn trace(&mut self, ev: TraceEvent) {
         if let Some(t) = &mut self.tracer {
-            t.push(ev);
+            push_event(t, ev);
         }
     }
 
@@ -379,7 +382,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         stats.cycles = self.now - start_cycle;
         // Completeness: the per-cycle attribution charged every cycle of
         // the window to exactly one cause.
-        #[cfg(all(feature = "probe", feature = "sanitize"))]
+        #[cfg(feature = "sanitize")]
         assert!(
             stats.stall.total() == stats.cycles,
             "sanitize: stall attribution covers {} of {} cycles",
@@ -418,14 +421,9 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         let (retired, store_stalled) = self.retire(now, stats);
         self.fetch(now, stats);
         self.mem.end_cycle();
-        #[cfg(feature = "probe")]
-        {
-            let w = (issued as usize).min(stats.issue_width.len() - 1);
-            saturating_count(&mut stats.issue_width[w], 1);
-            stats.stall.charge(self.classify_stall(retired, store_stalled, reject, now));
-        }
-        #[cfg(not(feature = "probe"))]
-        let _ = (issued, reject, retired, store_stalled);
+        let w = (issued as usize).min(stats.issue_width.len() - 1);
+        saturating_count(&mut stats.issue_width[w], 1);
+        stats.stall.charge(self.classify_stall(retired, store_stalled, reject, now));
         #[cfg(feature = "sanitize")]
         self.assert_invariants();
     }
@@ -491,9 +489,9 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
 
     /// Jumps the clock to `horizon - 1`, charging the skipped cycles in
     /// bulk exactly as the tick loop would have: one fetch-blocked counter
-    /// per cycle, and in `probe` builds one zero-width issue slot and one
-    /// (provably constant) stall cause per cycle, so `sum(stall causes) ==
-    /// cycles` still holds. Returns the number of cycles skipped.
+    /// per cycle, one zero-width issue slot and one (provably constant)
+    /// stall cause per cycle, so `sum(stall causes) == cycles` still holds.
+    /// Returns the number of cycles skipped.
     ///
     /// In `sanitize` builds the span is executed tick-by-tick instead (the
     /// lockstep mode) and every per-cycle outcome is asserted against the
@@ -504,7 +502,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         debug_assert!(span > 0);
         // Predict the span's charges from the (stable) pre-span state. The
         // fetch cascade charges exactly one counter per blocked cycle,
-        // squelch first; the stall cascade is the probe-build attribution.
+        // squelch first; the stall cause is the one `step` would charge.
         let mut predicted = RunStats::default();
         if self.waiting_branch.is_some() || t < self.fetch_resume_at {
             predicted.fetch_stall_cycles = span;
@@ -513,11 +511,8 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         } else {
             predicted.lsq_full_cycles = span;
         }
-        #[cfg(feature = "probe")]
-        {
-            predicted.issue_width[0] = span;
-            predicted.stall.charge_n(self.classify_stall(0, false, None, t), span);
-        }
+        predicted.issue_width[0] = span;
+        predicted.stall.charge_n(self.classify_stall(0, false, None, t), span);
         #[cfg(feature = "sanitize")]
         self.lockstep_check(span, &predicted);
         #[cfg(not(feature = "sanitize"))]
@@ -527,11 +522,8 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
         saturating_count(&mut stats.fetch_stall_cycles, predicted.fetch_stall_cycles);
         saturating_count(&mut stats.rob_full_cycles, predicted.rob_full_cycles);
         saturating_count(&mut stats.lsq_full_cycles, predicted.lsq_full_cycles);
-        #[cfg(feature = "probe")]
-        {
-            saturating_count(&mut stats.issue_width[0], predicted.issue_width[0]);
-            stats.stall.merge(&predicted.stall);
-        }
+        saturating_count(&mut stats.issue_width[0], predicted.issue_width[0]);
+        stats.stall.merge(&predicted.stall);
         self.skipped_cycles += span;
         self.skip_spans += 1;
         span
@@ -598,7 +590,6 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// A head load in `MemPending` on a *hit* is still occupying the cache
     /// pipeline, so those cycles are charged to `DcachePortConflict` — the
     /// paper's pipelined-hit-time cost — while misses charge `DramBusy`.
-    #[cfg(feature = "probe")]
     fn classify_stall(
         &self,
         retired: u64,
@@ -779,7 +770,6 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                 self.fetch_resume_at = done + self.cfg.redirect_penalty;
             }
             self.wake(pos);
-            #[cfg(feature = "probe")]
             self.trace(TraceEvent::ExecDone { cycle: now, inst: inst.id().get() });
         }
     }
@@ -813,7 +803,6 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             slot.stage = Stage::Executing { done };
             self.schedule(done.max(now + 1), id);
             issued += 1;
-            #[cfg(feature = "probe")]
             self.trace(TraceEvent::Issue { cycle: now, inst: id });
         }
         issued
@@ -826,48 +815,46 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// bypass it to the ports that cycle — the conflict replays from the
     /// oldest denied load, as in bank-conflict replay schemes.
     fn access_memory(&mut self, now: u64) -> Option<RejectReason> {
+        let traced = self.tracer.is_some();
         while let Some(pos) = self.port_waiting.oldest(self.rob.head_pos) {
             let addr = self.rob.slots[pos].inst.addr().expect("loads carry addresses");
-            #[cfg(feature = "probe")]
-            let inst = self.rob.slots[pos].inst.id().get();
-            match self.mem.try_load(addr) {
-                LoadResponse::LineBufferHit { complete_at } => {
+            let response = self.mem.try_load(addr);
+            if traced {
+                let inst = self.rob.slots[pos].inst.id().get();
+                self.trace_load(now, inst, addr, response);
+            }
+            match response {
+                LoadResponse::LineBufferHit { complete_at } | LoadResponse::Hit { complete_at } => {
                     self.pend(pos, complete_at.max(now + 1), false);
-                    #[cfg(feature = "probe")]
-                    self.trace(TraceEvent::LineBufferHit { cycle: now, inst, addr });
-                }
-                LoadResponse::Hit { complete_at } => {
-                    self.pend(pos, complete_at.max(now + 1), false);
-                    #[cfg(feature = "probe")]
-                    {
-                        let bank = self.bank_of(addr);
-                        self.trace(TraceEvent::CacheHit { cycle: now, inst, addr, bank });
-                    }
                 }
                 LoadResponse::Miss { complete_at } => {
-                    self.pend(pos, complete_at.max(now + 1), true);
-                    #[cfg(feature = "probe")]
-                    {
-                        let bank = self.bank_of(addr);
-                        self.trace(TraceEvent::CacheMiss { cycle: now, inst, addr, bank });
-                    }
+                    self.pend(pos, complete_at.max(now + 1), true)
                 }
-                LoadResponse::Rejected(why) => {
-                    #[cfg(feature = "probe")]
-                    {
-                        let bank = self.bank_of(addr);
-                        let why = match why {
-                            RejectReason::PortsBusy => "ports_busy",
-                            RejectReason::BankConflict => "bank_conflict",
-                            RejectReason::MshrFull => "mshr_full",
-                        };
-                        self.trace(TraceEvent::CacheReject { cycle: now, inst, addr, bank, why });
-                    }
-                    return Some(why);
-                }
+                LoadResponse::Rejected(why) => return Some(why),
             }
         }
         None
+    }
+
+    /// Records the memory system's answer to one load (traced runs only:
+    /// the bank lookup and reject reason are not worth computing
+    /// otherwise).
+    #[cold]
+    fn trace_load(&mut self, cycle: u64, inst: u64, addr: u64, response: LoadResponse) {
+        let bank = self.bank_of(addr);
+        self.trace(match response {
+            LoadResponse::LineBufferHit { .. } => TraceEvent::LineBufferHit { cycle, inst, addr },
+            LoadResponse::Hit { .. } => TraceEvent::CacheHit { cycle, inst, addr, bank },
+            LoadResponse::Miss { .. } => TraceEvent::CacheMiss { cycle, inst, addr, bank },
+            LoadResponse::Rejected(why) => {
+                let why = match why {
+                    RejectReason::PortsBusy => "ports_busy",
+                    RejectReason::BankConflict => "bank_conflict",
+                    RejectReason::MshrFull => "mshr_full",
+                };
+                TraceEvent::CacheReject { cycle, inst, addr, bank, why }
+            }
+        });
     }
 
     /// Marks the waiting-port load at ring position `pos` as accepted by
@@ -887,7 +874,6 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     }
 
     /// The cache bank `addr` maps to (zero for unbanked port models).
-    #[cfg(feature = "probe")]
     fn bank_of(&self, addr: u64) -> u32 {
         match self.mem.config().l1.ports {
             hbc_mem::PortModel::Banked(n) => {
@@ -931,7 +917,6 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             self.head += 1;
             self.retired_total += 1;
             retired += 1;
-            #[cfg(feature = "probe")]
             self.trace(TraceEvent::Commit { cycle: now, inst: inst.id().get() });
         }
         (retired, false)
@@ -966,7 +951,6 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                 self.lsq_used += 1;
             }
             self.dispatch(inst, now);
-            #[cfg(feature = "probe")]
             self.trace(TraceEvent::Fetch { cycle: now, inst: inst.id().get() });
             if inst.op().is_control() && inst.mispredicted() {
                 // Fetch down the wrong path is not modeled; the front end
@@ -1300,7 +1284,7 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "probe"))]
+#[cfg(test)]
 mod probe_tests {
     use super::*;
     use hbc_isa::{ExecMode, OpClass};

@@ -8,8 +8,7 @@ use hbc_probe::{ProbeExport, ProbeRegistry, StallBreakdown};
 /// divided by the cycles it took give the paper's IPC metric.
 ///
 /// The per-cycle fields ([`RunStats::stall`], [`RunStats::issue_width`])
-/// are populated only when the `probe` feature is enabled; without it they
-/// stay zeroed and the core pays no per-cycle accounting cost.
+/// are filled in every build; skipped spans are charged once per span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     /// Instructions retired in the window.
@@ -34,11 +33,11 @@ pub struct RunStats {
     pub store_stall_cycles: u64,
     /// Sum over retired loads of (completion - dispatch) cycles.
     pub load_latency_sum: u64,
-    /// Every cycle of the window charged to exactly one stall cause
-    /// (`probe` builds only; sums to [`RunStats::cycles`] when populated).
+    /// Every cycle of the window charged to exactly one stall cause (sums
+    /// to [`RunStats::cycles`]).
     pub stall: StallBreakdown,
     /// `issue_width[w]` counts cycles that issued exactly `w` instructions
-    /// (`probe` builds only; the last slot aggregates anything wider).
+    /// (the last slot aggregates anything wider).
     pub issue_width: [u64; 8],
 }
 

@@ -25,9 +25,9 @@
 //!
 //! This crate holds *data types only*; it does no per-cycle work by
 //! itself. The per-cycle instrumentation that feeds these types lives in
-//! `hbc-cpu` behind its `probe` cargo feature and compiles out entirely
-//! when the feature is off, so figure runs without it are bit-identical
-//! and no slower. All state is deterministic (`BTreeMap`, no clocks, no
+//! `hbc-cpu` and runs in every build; it only observes, so figure output
+//! is bit-identical whether probes and traces are requested or not. All
+//! state is deterministic (`BTreeMap`, no clocks, no
 //! RNG): a probe report is as reproducible as the simulation it describes.
 //!
 //! # Example

@@ -133,8 +133,8 @@ impl StallBreakdown {
         self.counts[cause.index()]
     }
 
-    /// Total cycles charged; equals the window's cycle count when the
-    /// per-cycle attribution ran (the `probe` feature was on).
+    /// Total cycles charged; equals the window's cycle count for a
+    /// breakdown the core filled in.
     pub fn total(&self) -> u64 {
         self.counts.iter().fold(0u64, |acc, &c| acc.saturating_add(c))
     }

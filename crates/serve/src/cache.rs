@@ -6,9 +6,15 @@
 //!
 //! * the in-memory tier is a bounded LRU of rendered payloads;
 //! * the disk tier persists every insert under the cache directory
-//!   (`results/cache/` by default) as `<hash>.out` (the payload, the
-//!   exact bytes the figure binary would print) next to `<hash>.spec`
-//!   (the canonical spec that produced it).
+//!   (`results/cache/` by default) as `<model>/<hash>.out` (the payload,
+//!   the exact bytes the figure binary would print) next to
+//!   `<model>/<hash>.spec` (the canonical spec that produced it).
+//!
+//! `<model>` is [`hbc_core::pins::model_digest`], a digest over the
+//! simulator's pinned results. The spec alone does not determine the
+//! payload — the model does too — so a build whose pins differ reads and
+//! writes a different namespace and never replays another build's
+//! figures.
 //!
 //! Entries are written atomically (temp file + rename), so a crashed or
 //! killed server never leaves a half-written payload a later server
@@ -104,11 +110,12 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// A cache persisting to `dir`, holding at most `capacity` entries in
-    /// memory. The directory is created on first insert.
+    /// A cache persisting to this model's namespace under `dir`, holding
+    /// at most `capacity` entries in memory. The directory is created on
+    /// first insert.
     pub fn new(dir: impl Into<PathBuf>, capacity: usize) -> Self {
         ResultCache {
-            dir: Some(dir.into()),
+            dir: Some(dir.into().join(hbc_core::pins::model_digest())),
             capacity,
             lru: Mutex::new(Lru::default()),
             evictions: AtomicU64::new(0),
@@ -126,7 +133,8 @@ impl ResultCache {
         }
     }
 
-    /// The on-disk location, if persistence is enabled.
+    /// The on-disk location of this model's entries, if persistence is
+    /// enabled.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
     }
@@ -240,6 +248,26 @@ mod tests {
         assert_eq!((body.as_str(), tier), ("body1\n", Tier::Disk));
         // Promoted: the next lookup is a memory hit.
         assert_eq!(second.get("h1", "spec1").expect("memory hit").1, Tier::Memory);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn entries_of_another_model_are_misses() {
+        let dir = temp_dir("namespace");
+        let plant = |at: &Path| {
+            std::fs::create_dir_all(at).unwrap();
+            std::fs::write(at.join("h.spec"), "spec").unwrap();
+            std::fs::write(at.join("h.out"), "stale").unwrap();
+        };
+        // The layout before namespacing, and another build's namespace.
+        plant(&dir);
+        plant(&dir.join("0000000000000000"));
+        let cache = ResultCache::new(&dir, 0);
+        assert_eq!(cache.dir(), Some(dir.join(hbc_core::pins::model_digest()).as_path()));
+        assert!(cache.get("h", "spec").is_none(), "another model's payload is not replayed");
+        cache.put("h", "spec", "fresh").unwrap();
+        assert_eq!(cache.get("h", "spec").map(|(b, _)| b).as_deref(), Some("fresh"));
+        assert_eq!(std::fs::read_to_string(dir.join("h.out")).unwrap(), "stale");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,24 +1,15 @@
 //! Golden tests: figure CSVs regenerate bit-identically.
 //!
-//! These run in every feature combination — plain, `--features probe`,
-//! `--features sanitize` — and compare against the same checked-in hashes,
-//! so they prove the observability layer never perturbs published results:
-//! the `probe` feature must be zero-cost *and* zero-effect.
+//! These run plain and with `--features sanitize` and compare against the
+//! same hashes, pinned in `hbc_core::pins`, so they prove the sanitizer
+//! never perturbs published results.
 //!
 //! If a legitimate modelling change shifts the figures, regenerate the
 //! constants with the command in the failure message.
 
 use hbcache::core::experiments::{fig3, fig6, fig7, fig8, ExpParams};
+use hbcache::core::pins;
 use hbcache::core::Benchmark;
-
-/// FNV-1a over the CSV bytes; dependency-free and stable across platforms.
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Tiny but non-trivial parameters so the golden runs stay fast in debug
 /// builds while still exercising the cycle-accurate core.
@@ -35,11 +26,10 @@ fn golden_params() -> ExpParams {
 fn fig3_csv_is_bit_identical() {
     let csv = fig3::run(&golden_params()).to_csv();
     assert_eq!(
-        fnv1a(&csv),
-        FIG3_HASH,
-        "fig3 CSV drifted; if the change is intentional, update FIG3_HASH in {} \
-         (actual hash of:\n{csv})",
-        file!()
+        pins::fnv1a(csv.as_bytes()),
+        pins::FIG3,
+        "fig3 CSV drifted; if the change is intentional, update FIG3 in \
+         crates/core/src/pins.rs (actual hash of:\n{csv})"
     );
 }
 
@@ -47,11 +37,10 @@ fn fig3_csv_is_bit_identical() {
 fn fig6_csv_is_bit_identical() {
     let csv = fig6::run(&golden_params()).to_csv();
     assert_eq!(
-        fnv1a(&csv),
-        FIG6_HASH,
-        "fig6 CSV drifted; if the change is intentional, update FIG6_HASH in {} \
-         (actual hash of:\n{csv})",
-        file!()
+        pins::fnv1a(csv.as_bytes()),
+        pins::FIG6,
+        "fig6 CSV drifted; if the change is intentional, update FIG6 in \
+         crates/core/src/pins.rs (actual hash of:\n{csv})"
     );
 }
 
@@ -61,11 +50,10 @@ fn fig6_csv_is_bit_identical() {
 fn fig7_csv_is_bit_identical() {
     let csv = fig7::run(&golden_params()).to_csv();
     assert_eq!(
-        fnv1a(&csv),
-        FIG7_HASH,
-        "fig7 CSV drifted; if the change is intentional, update FIG7_HASH in {} \
-         (actual hash of:\n{csv})",
-        file!()
+        pins::fnv1a(csv.as_bytes()),
+        pins::FIG7,
+        "fig7 CSV drifted; if the change is intentional, update FIG7 in \
+         crates/core/src/pins.rs (actual hash of:\n{csv})"
     );
 }
 
@@ -75,18 +63,9 @@ fn fig7_csv_is_bit_identical() {
 fn fig8_csv_is_bit_identical() {
     let csv = fig8::run(&golden_params()).to_csv();
     assert_eq!(
-        fnv1a(&csv),
-        FIG8_HASH,
-        "fig8 CSV drifted; if the change is intentional, update FIG8_HASH in {} \
-         (actual hash of:\n{csv})",
-        file!()
+        pins::fnv1a(csv.as_bytes()),
+        pins::FIG8,
+        "fig8 CSV drifted; if the change is intentional, update FIG8 in \
+         crates/core/src/pins.rs (actual hash of:\n{csv})"
     );
 }
-
-// Checked-in golden hashes. Regenerate by running these tests and copying
-// the hashes printed in the failure message:
-//   cargo test --test golden_figures -- --nocapture
-const FIG3_HASH: u64 = 11038098731853009402;
-const FIG6_HASH: u64 = 1898047440568716518;
-const FIG7_HASH: u64 = 11657777887182537203;
-const FIG8_HASH: u64 = 7645899131930201708;

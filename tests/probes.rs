@@ -3,11 +3,6 @@
 //! cause), the issue-width histogram covers every cycle, and the registry
 //! mirrors the legacy stat getters — across benchmarks, port structures,
 //! and hit times.
-//!
-//! Compiled only with the `probe` feature (`cargo test --features probe`),
-//! since the per-cycle attribution is conditionally compiled.
-
-#![cfg(feature = "probe")]
 
 use hbc_ptest::check;
 use hbcache::core::{Benchmark, SimBuilder};
