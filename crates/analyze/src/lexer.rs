@@ -12,9 +12,8 @@
 //! lifetimes, string/char/numeric literals, and single-character
 //! punctuation. Comments are dropped (annotation parsing stays in
 //! [`crate::source`], which remains the line model for `hbc-allow` and
-//! `#[cfg(test)]` tracking). String literals *retain their contents* —
-//! unlike the line model, which blanks them — because rules like
-//! `probe-naming` and `probe-coverage` match on literal probe names.
+//! `#[cfg(test)]` tracking). A string literal is one `Str` token that
+//! keeps its contents, unlike the line model, which blanks them.
 
 /// What kind of lexeme a [`Tok`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

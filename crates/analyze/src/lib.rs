@@ -103,15 +103,6 @@ pub const RULES: &[RuleInfo] = &[
                   handling.",
     },
     RuleInfo {
-        name: "probe-naming",
-        summary: "literal probe names are hierarchical dotted lowercase and globally unique",
-        explain: "The probe registry is one flat namespace shared by every crate; a typo'd or \
-                  colliding name silently splits (or merges) a statistic instead of failing. \
-                  Literal names at counter(\"…\")/histogram(\"…\") sites must match \
-                  ^[a-z0-9_]+(\\.[a-z0-9_]+)+$ and be registered from exactly one source site. \
-                  Runtime-built names are covered by the registry's own validation assert.",
-    },
-    RuleInfo {
         name: "serve-io-panic",
         summary: "no bare unwrap/expect on socket or filesystem operations in the serving \
                   crates (hbc-serve, hbc-cluster)",
@@ -135,19 +126,6 @@ pub const RULES: &[RuleInfo] = &[
                   and reports any cycle in the per-crate lock-acquisition-order graph. Fix by \
                   shrinking critical sections (collect, drop, then do I/O) or by making every \
                   path acquire locks in one canonical order.",
-    },
-    RuleInfo {
-        name: "probe-coverage",
-        summary: "probe registrations must be used and probe reads must name a registered probe",
-        explain: "A counter registered but never incremented reads zero in /metrics forever; \
-                  a read of a name nothing registers silently yields nothing. The rule \
-                  cross-references every literal probe name in the workspace: registration \
-                  sites (counter(\"…\")/histogram(\"…\")) must write through the handle \
-                  (.inc/.add/.set/.record) or bind it for later writes, exact reads \
-                  (get(\"…\")/get_histogram(\"…\")) and prefix reads (scoped(\"…\")) must \
-                  match a registered name, and a name must not be registered as a counter \
-                  but read as a histogram (or vice versa). Runtime-built names are outside \
-                  the scan; audit those reads with hbc-allow.",
     },
     RuleInfo {
         name: "cast-truncation",
@@ -225,10 +203,8 @@ pub fn run_all(
     findings.extend(rules::units::check(&model));
     findings.extend(rules::config_validate::check(&model));
     findings.extend(rules::panic_path::check(&model, baseline));
-    findings.extend(rules::probe_naming::check(&model));
     findings.extend(rules::serve_io_panic::check(&model));
     findings.extend(rules::lock_discipline::check(&model));
-    findings.extend(rules::probe_coverage::check(&model));
     findings.extend(rules::cast_truncation::check(&model));
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     findings
@@ -298,7 +274,7 @@ mod tests {
 
     #[test]
     fn rules_table_is_complete_and_consistent() {
-        assert_eq!(RULES.len(), 10);
+        assert_eq!(RULES.len(), 8);
         // Names are unique, kebab-case, and resolvable.
         for (i, rule) in RULES.iter().enumerate() {
             assert!(rule.name.chars().all(|c| c.is_ascii_lowercase() || c == '-'));

@@ -7,7 +7,5 @@ pub mod determinism;
 pub mod exec_merge;
 pub mod lock_discipline;
 pub mod panic_path;
-pub mod probe_coverage;
-pub mod probe_naming;
 pub mod serve_io_panic;
 pub mod units;

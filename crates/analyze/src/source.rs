@@ -10,9 +10,8 @@ pub struct Line {
     /// Token scans run against this, so `"HashMap"` inside a string or a
     /// doc comment never fires a rule.
     pub code: String,
-    /// The original, unstripped source text — for rules that must read
-    /// string-literal contents (e.g. `probe-naming`). Gate matches on
-    /// `code` first so comments still never fire.
+    /// The original, unstripped source text — the input the lexer
+    /// ([`crate::lexer`]) tokenizes for the semantic model.
     pub raw: String,
     /// Rules allowed on this line via `// hbc-allow: <rules>` (on the line
     /// itself or alone on the line above).
@@ -451,7 +450,7 @@ mod tests {
         let text = "// hbc-allow-file: units (legacy raw API)\n\
                     fn a() {}\n\
                     x(); // hbc-allow: determinism, panic (seeded fallback)\n\
-                    y(); // hbc-allow: probe-naming\n";
+                    y(); // hbc-allow: cast-truncation\n";
         let f = parse(text);
         assert_eq!(f.annotations.len(), 3);
         assert!(f.annotations[0].file_level);

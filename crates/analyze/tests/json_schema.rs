@@ -27,8 +27,7 @@ fn schema_v1_snapshot() {
     let expected = concat!(
         "{\"version\":1,",
         "\"rules\":[\"determinism\",\"exec-merge\",\"units\",\"config-validate\",\"panic\",",
-        "\"probe-naming\",\"serve-io-panic\",\"lock-discipline\",\"probe-coverage\",",
-        "\"cast-truncation\"],",
+        "\"serve-io-panic\",\"lock-discipline\",\"cast-truncation\"],",
         "\"files_scanned\":126,",
         "\"findings\":[",
         "{\"rule\":\"determinism\",\"path\":\"crates/mem/src/lib.rs\",\"line\":12,",
@@ -59,5 +58,5 @@ fn rules_array_tracks_the_rules_table() {
             rule.name
         );
     }
-    assert_eq!(RULES.len(), 10);
+    assert_eq!(RULES.len(), 8);
 }

@@ -15,7 +15,14 @@ use hbc_serve::client::HttpClient;
 use hbc_serve::metrics::parse_prometheus;
 use hbc_serve::spec::mixed_request;
 
-const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
+/// The coordinator's per-request deadline, which also bounds each forward.
+/// A sanitized debug sweep takes 25–40 s alone on a 2-vCPU host, and
+/// longer beside the other tests in this file; release answers in
+/// milliseconds.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(240);
+/// Outlasts `REQUEST_TIMEOUT`, so a slow request ends in the coordinator's
+/// own answer rather than a client read timeout.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(300);
 
 fn http() -> HttpClient {
     HttpClient::new(CLIENT_TIMEOUT)
@@ -35,8 +42,8 @@ fn test_config(workers: &[&Worker]) -> CoordinatorConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: workers.iter().map(|w| w.addr().to_string()).collect(),
         handlers: 2,
-        request_timeout: Duration::from_secs(60),
-        wire_timeout: Duration::from_secs(10),
+        request_timeout: REQUEST_TIMEOUT,
+        wire_timeout: REQUEST_TIMEOUT,
         probe_interval: Duration::from_millis(100),
         ..CoordinatorConfig::default()
     }

@@ -38,7 +38,7 @@ mod warm;
 
 pub use experiments::ExpParams;
 pub use hbc_probe::{
-    ProbeExport, ProbeRegistry, SpanLog, SpanRecord, Stage, StallBreakdown, StallCause,
+    HistogramProbe, Probe, ProbeRegistry, SpanLog, SpanRecord, Stage, StallBreakdown, StallCause,
 };
 pub use hbc_workloads::Benchmark;
 pub use misses::{miss_curve, misses_per_instruction};

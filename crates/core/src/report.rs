@@ -109,21 +109,21 @@ impl fmt::Display for Table {
 ///
 /// ```
 /// use hbc_core::report::probe_table;
-/// use hbc_probe::ProbeRegistry;
+/// use hbc_probe::{Probe, ProbeRegistry};
 ///
 /// let mut reg = ProbeRegistry::new();
-/// reg.counter("mem.lb.hits").add(9);
+/// reg.set(Probe::MemLbHits, 9);
 /// let t = probe_table(&reg);
 /// assert!(t.to_string().contains("mem.lb.hits"));
 /// ```
 pub fn probe_table(reg: &ProbeRegistry) -> Table {
     let mut t = Table::new("probes", &["probe", "value"]);
-    for (name, c) in reg.counters() {
-        t.push(vec![name.to_string(), c.get().to_string()]);
+    for (probe, value) in reg.counters() {
+        t.push(vec![probe.name().to_string(), value.to_string()]);
     }
-    for (name, h) in reg.histograms() {
+    for (probe, h) in reg.histograms() {
         t.push(vec![
-            name.to_string(),
+            probe.name().to_string(),
             format!("n={} mean={} range={}..{}", h.count(), fmt_f(h.mean(), 2), h.min(), h.max()),
         ]);
     }
@@ -191,9 +191,12 @@ mod tests {
 
     #[test]
     fn probe_table_lists_counters_and_histograms() {
+        use hbc_probe::{Histogram, HistogramProbe, Probe};
         let mut reg = ProbeRegistry::new();
-        reg.counter("cpu.run.cycles").set(100);
-        reg.histogram("cpu.issue.width_used").record_n(4, 10);
+        reg.set(Probe::CpuRunCycles, 100);
+        let mut width = Histogram::default();
+        width.record_n(4, 10);
+        reg.set_histogram(HistogramProbe::CpuIssueWidthUsed, width);
         let t = probe_table(&reg);
         assert_eq!(t.len(), 2);
         let s = t.to_string();

@@ -3,7 +3,7 @@
 use hbc_cpu::{Core, CpuConfig, RunStats};
 use hbc_isa::DynInst;
 use hbc_mem::{MemConfig, MemStats, MemSystem, PortModel};
-use hbc_probe::{ProbeExport, ProbeRegistry, Stage};
+use hbc_probe::{ProbeRegistry, Stage};
 use hbc_workloads::{Benchmark, BenchmarkSpec, WorkloadGen};
 
 /// Default instructions simulated per configuration.
@@ -390,6 +390,7 @@ impl SimResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbc_probe::{Probe, StallCause};
 
     fn quick(b: Benchmark) -> SimBuilder {
         SimBuilder::new(b).instructions(40_000).warmup(8_000)
@@ -433,12 +434,12 @@ mod tests {
         assert_eq!(base.mem(), probed.mem());
         assert!(base.probes().is_none());
         let reg = probed.probes().expect("registry requested");
-        assert_eq!(reg.get("cpu.retire.instructions"), Some(probed.run().instructions));
-        assert_eq!(reg.get("mem.l1.load_misses"), Some(probed.mem().l1_load_misses));
+        assert_eq!(reg.get(Probe::CpuRetireInstructions), Some(probed.run().instructions));
+        assert_eq!(reg.get(Probe::MemL1LoadMisses), Some(probed.mem().l1_load_misses));
         // Shim equivalence: the legacy getters and the registry read the
         // same underlying fields.
-        assert_eq!(reg.get("mem.lb.hits"), Some(probed.mem().lb_hits));
-        assert_eq!(reg.get("cpu.stall.commit").map(|c| c > 0), Some(true));
+        assert_eq!(reg.get(Probe::MemLbHits), Some(probed.mem().lb_hits));
+        assert_eq!(reg.get(Probe::Stall(StallCause::Commit)).map(|c| c > 0), Some(true));
         assert!(probed.trace_jsonl().is_some_and(|t| !t.is_empty()));
     }
 

@@ -1,6 +1,6 @@
 //! Processor statistics.
 
-use hbc_probe::{ProbeExport, ProbeRegistry, StallBreakdown};
+use hbc_probe::{Histogram, HistogramProbe, Probe, ProbeRegistry, StallBreakdown};
 
 /// Statistics for one measured simulation window.
 ///
@@ -59,25 +59,26 @@ impl RunStats {
             self.load_latency_sum as f64 / self.loads as f64
         }
     }
-}
 
-impl ProbeExport for RunStats {
-    fn export_probes(&self, reg: &mut ProbeRegistry) {
-        reg.counter("cpu.run.cycles").set(self.cycles);
-        reg.counter("cpu.retire.instructions").set(self.instructions);
-        reg.counter("cpu.retire.loads").set(self.loads);
-        reg.counter("cpu.retire.stores").set(self.stores);
-        reg.counter("cpu.retire.mispredicts").set(self.mispredicts);
-        reg.counter("cpu.retire.load_latency_sum").set(self.load_latency_sum);
-        reg.counter("cpu.fetch.rob_full_cycles").set(self.rob_full_cycles);
-        reg.counter("cpu.fetch.lsq_full_cycles").set(self.lsq_full_cycles);
-        reg.counter("cpu.fetch.squelch_cycles").set(self.fetch_stall_cycles);
-        reg.counter("cpu.commit.store_stall_cycles").set(self.store_stall_cycles);
+    /// Registers every field, the stall breakdown, and the issue-width
+    /// histogram in `reg`.
+    pub fn export_probes(&self, reg: &mut ProbeRegistry) {
+        reg.set(Probe::CpuRunCycles, self.cycles);
+        reg.set(Probe::CpuRetireInstructions, self.instructions);
+        reg.set(Probe::CpuRetireLoads, self.loads);
+        reg.set(Probe::CpuRetireStores, self.stores);
+        reg.set(Probe::CpuRetireMispredicts, self.mispredicts);
+        reg.set(Probe::CpuRetireLoadLatencySum, self.load_latency_sum);
+        reg.set(Probe::CpuFetchRobFullCycles, self.rob_full_cycles);
+        reg.set(Probe::CpuFetchLsqFullCycles, self.lsq_full_cycles);
+        reg.set(Probe::CpuFetchSquelchCycles, self.fetch_stall_cycles);
+        reg.set(Probe::CpuCommitStoreStallCycles, self.store_stall_cycles);
         self.stall.export(reg);
-        let h = reg.histogram("cpu.issue.width_used");
+        let mut h = Histogram::default();
         for (w, &n) in self.issue_width.iter().enumerate() {
             h.record_n(w as u64, n);
         }
+        reg.set_histogram(HistogramProbe::CpuIssueWidthUsed, h);
     }
 }
 
@@ -110,10 +111,10 @@ mod tests {
         s.issue_width[4] = 8;
         let mut reg = ProbeRegistry::new();
         s.export_probes(&mut reg);
-        assert_eq!(reg.get("cpu.run.cycles"), Some(10));
-        assert_eq!(reg.get("cpu.stall.commit"), Some(10));
-        assert_eq!(reg.get("cpu.stall.dram_busy"), Some(0));
-        let h = reg.get_histogram("cpu.issue.width_used").unwrap();
+        assert_eq!(reg.get(Probe::CpuRunCycles), Some(10));
+        assert_eq!(reg.get(Probe::Stall(StallCause::Commit)), Some(10));
+        assert_eq!(reg.get(Probe::Stall(StallCause::DramBusy)), Some(0));
+        let h = reg.get_histogram(HistogramProbe::CpuIssueWidthUsed).unwrap();
         assert_eq!(h.count(), 10);
         assert_eq!(h.sum(), 32);
         assert!((h.mean() - 3.2).abs() < 1e-12);

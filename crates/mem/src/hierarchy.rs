@@ -9,7 +9,7 @@ use crate::mshr::MshrFile;
 use crate::ports::{PortDenied, PortTracker};
 use crate::stats::MemStats;
 use crate::store_buffer::StoreBuffer;
-use hbc_probe::{saturating_count, ProbeExport, ProbeRegistry};
+use hbc_probe::{saturating_count, Probe, ProbeRegistry};
 
 /// Why the memory system could not accept a load this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -532,17 +532,15 @@ impl MemSystem {
     pub fn misses_in_flight(&self) -> usize {
         self.mshrs.in_flight()
     }
-}
 
-impl ProbeExport for MemSystem {
     /// Exports the [`MemStats`] counters plus the port-arbitration and
     /// line-buffer counters only the components themselves track.
-    fn export_probes(&self, reg: &mut ProbeRegistry) {
+    pub fn export_probes(&self, reg: &mut ProbeRegistry) {
         self.stats.export_probes(reg);
-        reg.counter("mem.ports.bank_conflicts").set(self.ports.bank_conflicts());
-        reg.counter("mem.ports.rejections").set(self.ports.port_rejections());
-        reg.counter("mem.lb.lookups").set(self.lb.as_ref().map(|lb| lb.lookups()).unwrap_or(0));
-        reg.counter("mem.store.pending").set(self.stores.len() as u64);
+        reg.set(Probe::MemPortsBankConflicts, self.ports.bank_conflicts());
+        reg.set(Probe::MemPortsRejections, self.ports.port_rejections());
+        reg.set(Probe::MemLbLookups, self.lb.as_ref().map(|lb| lb.lookups()).unwrap_or(0));
+        reg.set(Probe::MemStorePending, self.stores.len() as u64);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Memory-system statistics.
 
-use hbc_probe::{ProbeExport, ProbeRegistry};
+use hbc_probe::{Probe, ProbeRegistry};
 
 /// Counters accumulated by [`crate::MemSystem`] over a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -49,21 +49,20 @@ impl MemStats {
     pub fn l2_miss_ratio(&self) -> f64 {
         ratio(self.l2_misses, self.l2_hits + self.l2_misses)
     }
-}
 
-impl ProbeExport for MemStats {
-    fn export_probes(&self, reg: &mut ProbeRegistry) {
-        reg.counter("mem.load.requests").set(self.load_requests);
-        reg.counter("mem.lb.hits").set(self.lb_hits);
-        reg.counter("mem.l1.load_hits").set(self.l1_load_hits);
-        reg.counter("mem.l1.load_misses").set(self.l1_load_misses);
-        reg.counter("mem.l1.miss_merges").set(self.miss_merges);
-        reg.counter("mem.l1.load_rejections").set(self.load_rejections);
-        reg.counter("mem.l1.mshr_rejections").set(self.mshr_rejections);
-        reg.counter("mem.store.accepted").set(self.stores);
-        reg.counter("mem.store.misses").set(self.store_misses);
-        reg.counter("mem.l2.hits").set(self.l2_hits);
-        reg.counter("mem.l2.misses").set(self.l2_misses);
+    /// Registers every field in `reg`.
+    pub(crate) fn export_probes(&self, reg: &mut ProbeRegistry) {
+        reg.set(Probe::MemLoadRequests, self.load_requests);
+        reg.set(Probe::MemLbHits, self.lb_hits);
+        reg.set(Probe::MemL1LoadHits, self.l1_load_hits);
+        reg.set(Probe::MemL1LoadMisses, self.l1_load_misses);
+        reg.set(Probe::MemL1MissMerges, self.miss_merges);
+        reg.set(Probe::MemL1LoadRejections, self.load_rejections);
+        reg.set(Probe::MemL1MshrRejections, self.mshr_rejections);
+        reg.set(Probe::MemStoreAccepted, self.stores);
+        reg.set(Probe::MemStoreMisses, self.store_misses);
+        reg.set(Probe::MemL2Hits, self.l2_hits);
+        reg.set(Probe::MemL2Misses, self.l2_misses);
     }
 }
 
@@ -92,11 +91,11 @@ mod tests {
         let s = MemStats { lb_hits: 7, l1_load_misses: 3, l2_hits: 1, ..MemStats::default() };
         let mut reg = ProbeRegistry::new();
         s.export_probes(&mut reg);
-        assert_eq!(reg.get("mem.lb.hits"), Some(7));
-        assert_eq!(reg.get("mem.l1.load_misses"), Some(3));
-        assert_eq!(reg.get("mem.l2.hits"), Some(1));
-        assert_eq!(reg.get("mem.l2.misses"), Some(0));
-        assert_eq!(reg.len(), 11, "one counter per MemStats field");
+        assert_eq!(reg.get(Probe::MemLbHits), Some(7));
+        assert_eq!(reg.get(Probe::MemL1LoadMisses), Some(3));
+        assert_eq!(reg.get(Probe::MemL2Hits), Some(1));
+        assert_eq!(reg.get(Probe::MemL2Misses), Some(0));
+        assert_eq!(reg.counters().count(), 11, "one counter per MemStats field");
     }
 
     #[test]

@@ -17,55 +17,6 @@ pub fn saturating_count(slot: &mut u64, delta: u64) {
     *slot = slot.saturating_add(delta);
 }
 
-/// A monotonically increasing, saturating event counter.
-///
-/// # Example
-///
-/// ```
-/// use hbc_probe::Counter;
-///
-/// let mut c = Counter::default();
-/// c.inc();
-/// c.add(4);
-/// assert_eq!(c.get(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter starting at `value`.
-    pub fn new(value: u64) -> Self {
-        Counter(value)
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.add(1);
-    }
-
-    /// Adds `delta`, saturating at `u64::MAX`.
-    pub fn add(&mut self, delta: u64) {
-        saturating_count(&mut self.0, delta);
-    }
-
-    /// Overwrites the value (used when deriving a counter from an existing
-    /// statistics field, the registry's snapshot path).
-    pub fn set(&mut self, value: u64) {
-        self.0 = value;
-    }
-}
-
-impl std::fmt::Display for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
 /// Number of power-of-two buckets in a [`Histogram`] (bit lengths 0..=64).
 const BUCKETS: usize = 65;
 
@@ -211,12 +162,9 @@ mod tests {
     #[cfg(not(feature = "sanitize"))]
     #[test]
     fn counter_saturates_instead_of_wrapping() {
-        let mut c = Counter::new(u64::MAX - 1);
-        c.add(10);
-        assert_eq!(c.get(), u64::MAX, "must saturate, not wrap");
-        let mut slot = u64::MAX;
-        saturating_count(&mut slot, 1);
-        assert_eq!(slot, u64::MAX);
+        let mut slot = u64::MAX - 1;
+        saturating_count(&mut slot, 10);
+        assert_eq!(slot, u64::MAX, "must saturate, not wrap");
     }
 
     #[cfg(feature = "sanitize")]
@@ -225,17 +173,6 @@ mod tests {
     fn sanitize_asserts_on_overflow() {
         let mut slot = u64::MAX;
         saturating_count(&mut slot, 1);
-    }
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        c.add(2);
-        assert_eq!(c.get(), 3);
-        c.set(7);
-        assert_eq!(c.to_string(), "7");
     }
 
     #[test]

@@ -6,18 +6,16 @@
 //! latency, line-buffer hits. This crate is the vocabulary the rest of the
 //! workspace uses to answer "where did the cycles go?":
 //!
-//! * [`ProbeRegistry`] — a registry of named [`Counter`]s and
-//!   [`Histogram`]s. Names are hierarchical dotted paths
-//!   (`cpu.issue.width_used`, `mem.l1.load_misses`); the scheme is enforced
-//!   at registration and by the `probe-naming` lint in `hbc-analyze`.
+//! * [`ProbeRegistry`] — a registry of counters and [`Histogram`]s keyed
+//!   by the closed id types [`Probe`] and [`HistogramProbe`]. Each id's
+//!   name is a hierarchical dotted path (`cpu.issue.width_used`,
+//!   `mem.l1.load_misses`) written once, so a misspelt probe does not
+//!   compile.
 //! * [`StallCause`] / [`StallBreakdown`] — the per-cycle stall taxonomy.
 //!   Every simulated cycle is charged to exactly one cause, so the
 //!   breakdown sums to total cycles (checked under the `sanitize` feature).
 //! * [`Tracer`] — a bounded ring buffer of pipeline and cache
 //!   [`TraceEvent`]s, dumpable as JSON lines for the last N cycles.
-//! * [`ProbeExport`] — implemented by the workspace's statistics structs
-//!   (`RunStats`, `MemStats`, `StreamStats`) so every counter has one
-//!   naming scheme and one reporting path.
 //! * [`SpanLog`] / [`SpanRecord`] — request-scoped structured spans: a
 //!   thread-safe bounded ring of per-stage timings (clockless; callers
 //!   supply monotonic microsecond stamps) exported as JSONL, each recorded
@@ -33,27 +31,31 @@
 //! # Example
 //!
 //! ```
-//! use hbc_probe::ProbeRegistry;
+//! use hbc_probe::{Histogram, HistogramProbe, Probe, ProbeRegistry};
 //!
 //! let mut reg = ProbeRegistry::new();
-//! reg.counter("mem.lb.hits").add(3);
-//! reg.histogram("cpu.issue.width_used").record(4);
-//! assert_eq!(reg.get("mem.lb.hits"), Some(3));
+//! reg.set(Probe::MemLbHits, 3);
+//! let mut width = Histogram::default();
+//! width.record(4);
+//! reg.set_histogram(HistogramProbe::CpuIssueWidthUsed, width);
+//! assert_eq!(reg.get(Probe::MemLbHits), Some(3));
 //! assert!(reg.to_json().contains("\"mem.lb.hits\":3"));
 //! ```
 
 #![warn(missing_docs)]
 
 mod counter;
+mod id;
 mod name;
 mod registry;
 pub mod span;
 mod stall;
 mod trace;
 
-pub use counter::{saturating_count, Counter, Histogram};
+pub use counter::{saturating_count, Histogram};
+pub use id::{HistogramProbe, Probe};
 pub use name::is_valid_probe_name;
-pub use registry::{ProbeExport, ProbeRegistry};
+pub use registry::ProbeRegistry;
 pub use span::{SpanLog, SpanRecord, Stage};
 pub use stall::{StallBreakdown, StallCause};
 pub use trace::{TraceEvent, Tracer};

@@ -4,9 +4,9 @@
 /// segments, each non-empty and drawn from `[a-z0-9_]`
 /// (`^[a-z0-9_]+(\.[a-z0-9_]+)+$`).
 ///
-/// The `probe-naming` lint in `hbc-analyze` enforces the same pattern
-/// statically over registration call sites; [`crate::ProbeRegistry`]
-/// enforces it at runtime for names built dynamically.
+/// Every [`Probe`](crate::Probe), [`HistogramProbe`](crate::HistogramProbe)
+/// and [`Stage`](crate::Stage) name has this shape, as their unit tests
+/// check.
 ///
 /// # Example
 ///

@@ -2,33 +2,32 @@
 
 use std::collections::BTreeMap;
 
-use crate::counter::{Counter, Histogram};
-use crate::name::is_valid_probe_name;
+use crate::counter::Histogram;
+use crate::id::{HistogramProbe, Probe};
 
-/// A deterministic registry of named [`Counter`]s and [`Histogram`]s.
+/// A deterministic registry of counters and [`Histogram`]s, keyed by the
+/// closed id types [`Probe`] and [`HistogramProbe`].
 ///
-/// Keys are hierarchical dotted paths (`cpu.stall.commit`,
-/// `mem.l1.bank_conflicts`); registration asserts the naming scheme so a
-/// malformed name fails the first test that touches it. Storage is
-/// `BTreeMap`, so iteration, reports, and JSON exports are byte-stable
-/// across runs — the same determinism contract as the simulator itself.
+/// Storage is `BTreeMap` over ids that order by name, so iteration,
+/// reports, and JSON exports are byte-stable across runs — the same
+/// determinism contract as the simulator itself.
 ///
 /// # Example
 ///
 /// ```
-/// use hbc_probe::ProbeRegistry;
+/// use hbc_probe::{Probe, ProbeRegistry};
 ///
 /// let mut reg = ProbeRegistry::new();
-/// reg.counter("mem.l1.load_hits").add(10);
-/// reg.counter("mem.l1.load_misses").add(2);
-/// assert_eq!(reg.get("mem.l1.load_hits"), Some(10));
-/// let names: Vec<&str> = reg.counters().map(|(n, _)| n).collect();
+/// reg.set(Probe::MemL1LoadMisses, 2);
+/// reg.set(Probe::MemL1LoadHits, 10);
+/// assert_eq!(reg.get(Probe::MemL1LoadHits), Some(10));
+/// let names: Vec<&str> = reg.counters().map(|(p, _)| p.name()).collect();
 /// assert_eq!(names, ["mem.l1.load_hits", "mem.l1.load_misses"]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProbeRegistry {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: BTreeMap<Probe, u64>,
+    histograms: BTreeMap<HistogramProbe, Histogram>,
 }
 
 impl ProbeRegistry {
@@ -37,97 +36,56 @@ impl ProbeRegistry {
         Self::default()
     }
 
-    /// The counter registered under `name`, creating it at zero on first
-    /// use. Asserts that `name` follows the probe naming scheme.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        assert!(is_valid_probe_name(name), "invalid probe name: {name:?}");
-        self.counters.entry(name.to_string()).or_default()
+    /// Registers counter `probe` with `value`, replacing any earlier value.
+    pub fn set(&mut self, probe: Probe, value: u64) {
+        self.counters.insert(probe, value);
     }
 
-    /// The histogram registered under `name`, creating it empty on first
-    /// use. Asserts that `name` follows the probe naming scheme.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        assert!(is_valid_probe_name(name), "invalid probe name: {name:?}");
-        self.histograms.entry(name.to_string()).or_default()
+    /// Registers histogram `probe`, replacing any earlier one.
+    pub fn set_histogram(&mut self, probe: HistogramProbe, histogram: Histogram) {
+        self.histograms.insert(probe, histogram);
     }
 
-    /// The value of counter `name`, if registered.
-    pub fn get(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).map(|c| c.get())
+    /// The value of counter `probe`, if registered.
+    pub fn get(&self, probe: Probe) -> Option<u64> {
+        self.counters.get(&probe).copied()
     }
 
-    /// The histogram registered under `name`, if any.
-    pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+    /// The histogram registered under `probe`, if any.
+    pub fn get_histogram(&self, probe: HistogramProbe) -> Option<&Histogram> {
+        self.histograms.get(&probe)
     }
 
     /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, &Counter)> {
-        self.counters.iter().map(|(n, c)| (n.as_str(), c))
+    pub fn counters(&self) -> impl Iterator<Item = (Probe, u64)> + '_ {
+        self.counters.iter().map(|(&p, &v)| (p, v))
     }
 
     /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(n, h)| (n.as_str(), h))
-    }
-
-    /// Number of registered counters.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// `true` when no counter or histogram is registered.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Counters whose name starts with `prefix` followed by a dot (or
-    /// equals `prefix`), in name order — e.g. `scoped("cpu.stall")` yields
-    /// the whole stall breakdown.
-    pub fn scoped<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters().filter_map(move |(n, c)| {
-            let matches = n == prefix
-                || (n.starts_with(prefix) && n.as_bytes().get(prefix.len()) == Some(&b'.'));
-            matches.then_some((n, c.get()))
-        })
-    }
-
-    /// Folds every probe from `source` into this registry.
-    pub fn absorb<E: ProbeExport + ?Sized>(&mut self, source: &E) {
-        source.export_probes(self);
+    pub fn histograms(&self) -> impl Iterator<Item = (HistogramProbe, &Histogram)> {
+        self.histograms.iter().map(|(&p, h)| (p, h))
     }
 
     /// A deterministic JSON object:
     /// `{"counters":{name:value,...},"histograms":{name:{...},...}}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
-        for (i, (name, c)) in self.counters().enumerate() {
+        for (i, (probe, value)) in self.counters().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{name}\":{}", c.get()));
+            out.push_str(&format!("\"{}\":{value}", probe.name()));
         }
         out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms().enumerate() {
+        for (i, (probe, h)) in self.histograms().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{name}\":{}", h.to_json()));
+            out.push_str(&format!("\"{}\":{}", probe.name(), h.to_json()));
         }
         out.push_str("}}");
         out
     }
-}
-
-/// Snapshot of a component's statistics into a [`ProbeRegistry`].
-///
-/// Implemented by `RunStats`, `MemStats`, and `StreamStats` so the whole
-/// workspace shares one naming scheme and one reporting path; the legacy
-/// getters on those structs remain as thin shims over the same fields.
-pub trait ProbeExport {
-    /// Registers this component's counters and histograms under their
-    /// canonical names.
-    fn export_probes(&self, reg: &mut ProbeRegistry);
 }
 
 #[cfg(test)]
@@ -135,57 +93,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn get_or_create_accumulates() {
+    fn set_replaces() {
         let mut reg = ProbeRegistry::new();
-        reg.counter("a.b").inc();
-        reg.counter("a.b").add(2);
-        assert_eq!(reg.get("a.b"), Some(3));
-        assert_eq!(reg.get("a.c"), None);
-        assert_eq!(reg.len(), 1);
-        assert!(!reg.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid probe name")]
-    fn rejects_malformed_name() {
-        ProbeRegistry::new().counter("NotValid");
-    }
-
-    #[test]
-    fn scoped_is_prefix_aware() {
-        let mut reg = ProbeRegistry::new();
-        reg.counter("cpu.stall.commit").add(5);
-        reg.counter("cpu.stall.dram_busy").add(1);
-        reg.counter("cpu.stalling.other").add(9); // not under cpu.stall
-        let got: Vec<(&str, u64)> = reg.scoped("cpu.stall").collect();
-        assert_eq!(got, [("cpu.stall.commit", 5), ("cpu.stall.dram_busy", 1)]);
+        reg.set(Probe::MemLbHits, 1);
+        reg.set(Probe::MemLbHits, 3);
+        assert_eq!(reg.get(Probe::MemLbHits), Some(3));
+        assert_eq!(reg.get(Probe::MemLbLookups), None);
+        assert_eq!(reg.counters().count(), 1);
     }
 
     #[test]
     fn json_is_sorted_and_stable() {
         let mut reg = ProbeRegistry::new();
-        reg.counter("z.last").add(1);
-        reg.counter("a.first").add(2);
-        reg.histogram("m.hist").record(4);
+        reg.set(Probe::ServeQueuePeak, 1);
+        reg.set(Probe::CpuRunCycles, 2);
+        let mut h = Histogram::default();
+        h.record(4);
+        reg.set_histogram(HistogramProbe::ServeLatencyMicros, h);
         let json = reg.to_json();
         assert_eq!(
             json,
-            "{\"counters\":{\"a.first\":2,\"z.last\":1},\
-             \"histograms\":{\"m.hist\":{\"count\":1,\"sum\":4,\"min\":4,\"max\":4,\"mean\":4.0000}}}"
+            "{\"counters\":{\"cpu.run.cycles\":2,\"serve.queue.peak\":1},\
+             \"histograms\":{\"serve.latency.micros\":{\"count\":1,\"sum\":4,\"min\":4,\"max\":4,\"mean\":4.0000}}}"
         );
         assert_eq!(reg.clone().to_json(), json);
-    }
-
-    #[test]
-    fn absorb_uses_the_trait() {
-        struct Fake;
-        impl ProbeExport for Fake {
-            fn export_probes(&self, reg: &mut ProbeRegistry) {
-                reg.counter("fake.value").set(42);
-            }
-        }
-        let mut reg = ProbeRegistry::new();
-        reg.absorb(&Fake);
-        assert_eq!(reg.get("fake.value"), Some(42));
     }
 }

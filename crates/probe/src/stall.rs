@@ -1,6 +1,7 @@
 //! The per-cycle stall taxonomy: where did the cycles go?
 
 use crate::counter::saturating_count;
+use crate::id::Probe;
 use crate::registry::ProbeRegistry;
 
 /// What a simulated cycle was spent on.
@@ -76,7 +77,7 @@ impl StallCause {
         }
     }
 
-    /// Canonical registry name (`cpu.stall.<label>`).
+    /// Export name of its [`Probe::Stall`] counter (`cpu.stall.<label>`).
     pub fn probe_name(self) -> &'static str {
         match self {
             StallCause::Commit => "cpu.stall.commit",
@@ -161,10 +162,10 @@ impl StallBreakdown {
         }
     }
 
-    /// Registers every cause under its canonical `cpu.stall.*` name.
+    /// Registers every cause as its [`Probe::Stall`] counter.
     pub fn export(&self, reg: &mut ProbeRegistry) {
         for (cause, cycles) in self.iter() {
-            reg.counter(cause.probe_name()).set(cycles);
+            reg.set(Probe::Stall(cause), cycles);
         }
     }
 }
@@ -200,17 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn export_uses_valid_unique_names() {
-        use crate::is_valid_probe_name;
+    fn export_registers_every_cause() {
         let mut b = StallBreakdown::default();
         b.charge(StallCause::DramBusy);
         let mut reg = ProbeRegistry::new();
         b.export(&mut reg);
         assert_eq!(reg.counters().count(), StallCause::COUNT);
-        for c in StallCause::ALL {
-            assert!(is_valid_probe_name(c.probe_name()), "{}", c.probe_name());
-        }
-        assert_eq!(reg.get("cpu.stall.dram_busy"), Some(1));
+        assert_eq!(reg.get(Probe::Stall(StallCause::DramBusy)), Some(1));
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!   every span stage. [`parse_prometheus`] is the strict reader the
 //!   tests (and the load generator's smoke gate) validate bodies with.
 //! * `GET /metrics.json` — [`Metrics::to_registry`] into a
-//!   [`ProbeRegistry`] and its deterministic JSON — the same format,
-//!   naming scheme, and `probe-naming` lint coverage as the simulator's
-//!   own probes.
+//!   [`ProbeRegistry`] and its deterministic JSON — the same format and
+//!   typed [`Probe`] ids as the simulator's own probes.
 //!
 //! # Example
 //!
@@ -33,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use hbc_probe::{Histogram, ProbeRegistry, Stage};
+use hbc_probe::{Histogram, HistogramProbe, Probe, ProbeRegistry, Stage};
 
 use crate::lock;
 
@@ -115,22 +114,22 @@ impl Metrics {
     /// deterministic given the counter values).
     pub fn to_registry(&self) -> ProbeRegistry {
         let mut reg = ProbeRegistry::new();
-        reg.counter("serve.http.requests").set(self.requests.get());
-        reg.counter("serve.http.responses.ok").set(self.responses_ok.get());
-        reg.counter("serve.http.responses.bad_request").set(self.responses_bad_request.get());
-        reg.counter("serve.http.responses.not_found").set(self.responses_not_found.get());
-        reg.counter("serve.http.responses.rejected").set(self.responses_rejected.get());
-        reg.counter("serve.http.responses.unavailable").set(self.responses_unavailable.get());
-        reg.counter("serve.http.responses.timeout").set(self.responses_timeout.get());
-        reg.counter("serve.http.responses.error").set(self.responses_error.get());
-        reg.counter("serve.cache.hits.memory").set(self.cache_hits_memory.get());
-        reg.counter("serve.cache.hits.disk").set(self.cache_hits_disk.get());
-        reg.counter("serve.cache.misses").set(self.cache_misses.get());
-        reg.counter("serve.cache.coalesced").set(self.coalesced.get());
-        reg.counter("serve.exec.runs").set(self.exec_runs.get());
-        reg.counter("serve.queue.depth").set(self.queue_depth.load(Ordering::Relaxed));
-        reg.counter("serve.queue.peak").set(self.queue_peak.load(Ordering::Relaxed));
-        *reg.histogram("serve.latency.micros") = lock(&self.latency_micros).clone();
+        reg.set(Probe::ServeHttpRequests, self.requests.get());
+        reg.set(Probe::ServeHttpResponsesOk, self.responses_ok.get());
+        reg.set(Probe::ServeHttpResponsesBadRequest, self.responses_bad_request.get());
+        reg.set(Probe::ServeHttpResponsesNotFound, self.responses_not_found.get());
+        reg.set(Probe::ServeHttpResponsesRejected, self.responses_rejected.get());
+        reg.set(Probe::ServeHttpResponsesUnavailable, self.responses_unavailable.get());
+        reg.set(Probe::ServeHttpResponsesTimeout, self.responses_timeout.get());
+        reg.set(Probe::ServeHttpResponsesError, self.responses_error.get());
+        reg.set(Probe::ServeCacheHitsMemory, self.cache_hits_memory.get());
+        reg.set(Probe::ServeCacheHitsDisk, self.cache_hits_disk.get());
+        reg.set(Probe::ServeCacheMisses, self.cache_misses.get());
+        reg.set(Probe::ServeCacheCoalesced, self.coalesced.get());
+        reg.set(Probe::ServeExecRuns, self.exec_runs.get());
+        reg.set(Probe::ServeQueueDepth, self.queue_depth.load(Ordering::Relaxed));
+        reg.set(Probe::ServeQueuePeak, self.queue_peak.load(Ordering::Relaxed));
+        reg.set_histogram(HistogramProbe::ServeLatencyMicros, lock(&self.latency_micros).clone());
         reg
     }
 
@@ -417,8 +416,8 @@ mod tests {
         m.queue_pop();
         m.queue_push();
         let reg = m.to_registry();
-        assert_eq!(reg.get("serve.queue.depth"), Some(2));
-        assert_eq!(reg.get("serve.queue.peak"), Some(2));
+        assert_eq!(reg.get(Probe::ServeQueueDepth), Some(2));
+        assert_eq!(reg.get(Probe::ServeQueuePeak), Some(2));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hbc_probe::Stage;
+use hbc_probe::{Probe, Stage};
 
 use crate::cache::{ResultCache, Tier};
 use crate::front::{Backend, Front, FrontConfig, FrontHandle, Responder};
@@ -327,7 +327,7 @@ impl Backend for LocalBackend {
             return false;
         }
         let mut reg = self.inner.metrics.to_registry();
-        reg.counter("serve.cache.evictions").set(self.inner.cache.evictions());
+        reg.set(Probe::ServeCacheEvictions, self.inner.cache.evictions());
         out.respond(200, "application/json", &[], reg.to_json().as_bytes());
         true
     }

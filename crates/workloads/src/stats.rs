@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use hbc_isa::{ExecMode, OpClass};
-use hbc_probe::{saturating_count, ProbeExport, ProbeRegistry};
+use hbc_probe::saturating_count;
 
 use crate::WorkloadGen;
 
@@ -121,20 +121,6 @@ impl StreamStats {
     }
 }
 
-impl ProbeExport for StreamStats {
-    fn export_probes(&self, reg: &mut ProbeRegistry) {
-        reg.counter("workload.mix.instructions").set(self.instructions);
-        reg.counter("workload.mix.loads").set(self.loads);
-        reg.counter("workload.mix.stores").set(self.stores);
-        reg.counter("workload.mix.branches").set(self.branches);
-        reg.counter("workload.mix.jumps").set(self.jumps);
-        reg.counter("workload.mix.mispredicted").set(self.mispredicted);
-        reg.counter("workload.mix.fp_ops").set(self.fp_ops);
-        reg.counter("workload.mix.kernel").set(self.kernel);
-        reg.counter("workload.ws.distinct_lines").set(self.distinct_lines);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,17 +176,6 @@ mod tests {
         assert!((s.control_pct() - 16.0).abs() < 1.5, "control {}", s.control_pct());
         assert!(s.touched_bytes() > 0);
         assert_eq!(s.instructions(), 40_000);
-    }
-
-    #[test]
-    fn export_covers_the_mix() {
-        let mut gen = WorkloadGen::new(Benchmark::Gcc, 1);
-        let s = StreamStats::characterize(&mut gen, 10_000);
-        let mut reg = ProbeRegistry::new();
-        s.export_probes(&mut reg);
-        assert_eq!(reg.get("workload.mix.instructions"), Some(10_000));
-        assert_eq!(reg.get("workload.ws.distinct_lines"), Some(s.distinct_lines()));
-        assert_eq!(reg.len(), 9);
     }
 
     #[test]

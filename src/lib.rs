@@ -16,8 +16,7 @@
 //! * [`core`] — experiment drivers reproducing every table and figure of
 //!   the paper, plus the execution-time study.
 //! * [`probe`] — the observability layer: counter/histogram registry,
-//!   stall-cause attribution, and the cycle tracer (enable the `probe`
-//!   feature for per-cycle data).
+//!   stall-cause attribution, and the cycle tracer.
 //!
 //! # Quickstart
 //!

@@ -7,7 +7,7 @@
 use hbc_ptest::check;
 use hbcache::core::{Benchmark, SimBuilder};
 use hbcache::mem::PortModel;
-use hbcache::probe::StallCause;
+use hbcache::probe::{Probe, StallCause};
 
 const BENCHMARKS: [Benchmark; 3] = [Benchmark::Gcc, Benchmark::Tomcatv, Benchmark::Database];
 const PORTS: [PortModel; 3] = [PortModel::Ideal(2), PortModel::Banked(8), PortModel::Duplicate];
@@ -48,15 +48,15 @@ fn registry_mirrors_legacy_getters() {
         let result = sim(g).run();
         let reg = result.probes().expect("probes enabled");
         let (run, mem) = (result.run(), result.mem());
-        assert_eq!(reg.get("cpu.run.cycles"), Some(run.cycles));
-        assert_eq!(reg.get("cpu.retire.instructions"), Some(run.instructions));
-        assert_eq!(reg.get("cpu.retire.loads"), Some(run.loads));
-        assert_eq!(reg.get("cpu.retire.mispredicts"), Some(run.mispredicts));
-        assert_eq!(reg.get("mem.l1.load_hits"), Some(mem.l1_load_hits));
-        assert_eq!(reg.get("mem.l1.load_misses"), Some(mem.l1_load_misses));
-        assert_eq!(reg.get("mem.lb.hits"), Some(mem.lb_hits));
+        assert_eq!(reg.get(Probe::CpuRunCycles), Some(run.cycles));
+        assert_eq!(reg.get(Probe::CpuRetireInstructions), Some(run.instructions));
+        assert_eq!(reg.get(Probe::CpuRetireLoads), Some(run.loads));
+        assert_eq!(reg.get(Probe::CpuRetireMispredicts), Some(run.mispredicts));
+        assert_eq!(reg.get(Probe::MemL1LoadHits), Some(mem.l1_load_hits));
+        assert_eq!(reg.get(Probe::MemL1LoadMisses), Some(mem.l1_load_misses));
+        assert_eq!(reg.get(Probe::MemLbHits), Some(mem.lb_hits));
         for cause in StallCause::ALL {
-            assert_eq!(reg.get(cause.probe_name()), Some(run.stall.get(cause)));
+            assert_eq!(reg.get(Probe::Stall(cause)), Some(run.stall.get(cause)));
         }
     });
 }
