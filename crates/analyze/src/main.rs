@@ -5,8 +5,6 @@
 //!   text; `--output <file>` writes the JSON there *in addition to* the
 //!   text findings on stdout (how CI gets both problem-matcher lines and
 //!   an `analyze.json` artifact from one run).
-//! * `cargo run -p hbc-analyze -- baseline` — rewrite the panic-path
-//!   baseline from the current source (use after reducing panic sites).
 //! * `cargo run -p hbc-analyze -- explain <rule>` — print a rule's full
 //!   explanation; with no rule, list them all.
 //! * `cargo run -p hbc-analyze -- allows` — list every `hbc-allow` /
@@ -16,13 +14,11 @@
 //! All commands accept an optional `--root <dir>`; by default the
 //! workspace root is found by walking up from the current directory.
 
-use hbc_analyze::model::Model;
-use hbc_analyze::rules::panic_path::{self, Baseline};
 use hbc_analyze::{findings_to_json, rule_info, run_all, workspace, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: hbc-analyze <check|baseline|explain|allows> \
+const USAGE: &str = "usage: hbc-analyze <check|explain|allows> \
                      [--root <dir>] [--format json] [--output <file>] [rule]";
 
 fn main() -> ExitCode {
@@ -51,7 +47,7 @@ fn main() -> ExitCode {
                 output = Some(PathBuf::from(&args[i + 1]));
                 i += 2;
             }
-            "check" | "baseline" | "explain" | "allows" if cmd.is_none() => {
+            "check" | "explain" | "allows" if cmd.is_none() => {
                 cmd = Some(args[i].clone());
                 i += 1;
             }
@@ -96,40 +92,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = root.join("crates/analyze/panic_baseline.txt");
 
     match cmd.as_str() {
-        "baseline" => {
-            let model = Model::build(&files);
-            let (counts, _) = panic_path::count_sites(&model);
-            let text = counts.iter().fold(String::new(), |mut s, (k, v)| {
-                s.push_str(&format!("{k} {v}\n"));
-                s
-            });
-            let baseline = Baseline::parse(&text);
-            if let Err(e) = std::fs::write(&baseline_path, baseline.render()) {
-                eprintln!("hbc-analyze: cannot write {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-            println!("wrote {}", baseline_path.display());
-            for (k, v) in &counts {
-                println!("  {k} {v}");
-            }
-            ExitCode::SUCCESS
-        }
         "allows" => allows(&files),
         "check" => {
-            let baseline = match std::fs::read_to_string(&baseline_path) {
-                Ok(text) => Baseline::parse(&text),
-                Err(e) => {
-                    eprintln!(
-                        "hbc-analyze: missing panic baseline {}: {e} (run `hbc-analyze baseline`)",
-                        baseline_path.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            };
-            let findings = run_all(&files, &baseline);
+            let findings = run_all(&files);
             let scanned = files.len();
             let rendered = findings_to_json(&findings, scanned);
             if let Some(out_path) = &output {
@@ -143,18 +110,7 @@ fn main() -> ExitCode {
                 return if findings.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
             }
             if findings.is_empty() {
-                let model = Model::build(&files);
-                let (counts, _) = panic_path::count_sites(&model);
                 println!("hbc-analyze: {scanned} files clean ({} rules)", RULES.len());
-                for (k, v) in &counts {
-                    let allowed = baseline.allowed(k);
-                    if *v < allowed {
-                        println!(
-                            "note: {k} has {v} panic sites, below baseline {allowed} — \
-                             tighten with `hbc-analyze baseline`"
-                        );
-                    }
-                }
                 ExitCode::SUCCESS
             } else {
                 for f in &findings {

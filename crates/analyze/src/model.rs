@@ -4,10 +4,8 @@
 //! This is what turns the analyzer from a line scanner into a (small)
 //! program analyzer. For every scanned file the model extracts:
 //!
-//! * **functions** — name, visibility, owning `impl` target, the token
-//!   ranges of the signature and body;
-//! * **impl blocks** — target type and trait (if any);
-//! * **structs** — name and field list;
+//! * **functions** — name, visibility, and the token ranges of the
+//!   signature and body;
 //! * **call edges** — within each function body, the plain (non-method)
 //!   calls that can be resolved to a function defined in the same crate.
 //!
@@ -37,38 +35,12 @@ pub struct Function {
     pub line: usize,
     /// True when declared `pub` (any visibility qualifier counts).
     pub is_pub: bool,
-    /// The `impl` target type this function is an associated item of,
-    /// if any (`Flight` for `impl Flight { fn wait … }`).
-    pub impl_target: Option<String>,
     /// Token index range of the signature (from `fn` to the body brace or
     /// terminating semicolon, exclusive).
     pub sig: Range<usize>,
     /// Token index range of the body, *including* the delimiting braces.
     /// Empty for bodyless declarations.
     pub body: Range<usize>,
-}
-
-/// A struct declaration and its named fields.
-#[derive(Debug, Clone)]
-pub struct Struct {
-    /// The struct's name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: usize,
-    /// Named fields as `(name, type-token texts)`; empty for tuple and
-    /// unit structs.
-    pub fields: Vec<(String, Vec<String>)>,
-}
-
-/// An `impl` block.
-#[derive(Debug, Clone)]
-pub struct Impl {
-    /// The self type the block implements on.
-    pub target: String,
-    /// The trait being implemented, for trait impls.
-    pub trait_name: Option<String>,
-    /// 1-based line of the `impl` keyword.
-    pub line: usize,
 }
 
 /// One resolved or unresolved call site inside a function body.
@@ -91,10 +63,6 @@ pub struct FileModel {
     pub tokens: Vec<Tok>,
     /// Functions in source order.
     pub functions: Vec<Function>,
-    /// Structs in source order.
-    pub structs: Vec<Struct>,
-    /// Impl blocks in source order.
-    pub impls: Vec<Impl>,
 }
 
 /// Identifies a function as (file index, function index).
@@ -141,11 +109,6 @@ impl<'a> Model<'a> {
             [only] => Some(*only),
             _ => None,
         }
-    }
-
-    /// The function named by `id`.
-    pub fn function(&self, id: FnId) -> &Function {
-        &self.files[id.0].functions[id.1]
     }
 
     /// Iterates `(file index, function)` over every function in
@@ -215,135 +178,25 @@ pub fn matching_brace(toks: &[Tok], open: usize) -> usize {
     toks.len() - 1
 }
 
-/// Parses one file's token stream into its item model.
+/// Parses one file's token stream into its function list.
 fn parse_file(toks: &[Tok]) -> FileModel {
     let mut functions = Vec::new();
-    let mut structs = Vec::new();
-    let mut impls = Vec::new();
-    // Impl targets as (body token range, target) so functions can find
-    // their owner by containment.
-    let mut impl_ranges: Vec<(Range<usize>, String)> = Vec::new();
-
     let mut i = 0;
     while i < toks.len() {
-        let t = &toks[i];
-        if t.is_ident("impl") {
-            if let Some((imp, body)) = parse_impl(toks, i) {
-                impl_ranges.push((body, imp.target.clone()));
-                impls.push(imp);
-            }
-            i += 1;
-        } else if t.is_ident("struct") {
-            if let Some((s, next)) = parse_struct(toks, i) {
-                structs.push(s);
-                i = next;
-            } else {
-                i += 1;
-            }
-        } else if t.is_ident("fn") {
-            if let Some(f) = parse_fn(toks, i, &impl_ranges) {
+        let parsed = if toks[i].is_ident("fn") { parse_fn(toks, i) } else { None };
+        match parsed {
+            Some(f) => {
                 i = if f.body.is_empty() { f.sig.end } else { f.body.end };
                 functions.push(f);
-            } else {
-                i += 1;
             }
-        } else {
-            i += 1;
+            None => i += 1,
         }
     }
-    FileModel { tokens: toks.to_vec(), functions, structs, impls }
-}
-
-/// Parses the `impl` whose keyword sits at `at`; returns the item and its
-/// body token range.
-fn parse_impl(toks: &[Tok], at: usize) -> Option<(Impl, Range<usize>)> {
-    let line = toks[at].line;
-    // Collect the header idents up to the opening brace; `impl<T> Tr for
-    // Ty<T> { … }` has header idents [T, Tr, for, Ty, T].
-    let open = (at + 1..toks.len()).find(|&j| toks[j].is_punct('{'))?;
-    // Skip generic parameters directly after `impl` by tracking `<…>`.
-    let mut angle = 0i32;
-    let mut names: Vec<(&str, bool)> = Vec::new(); // (ident, inside generics)
-    for t in &toks[at + 1..open] {
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle -= 1;
-        } else if t.kind == TokKind::Ident {
-            names.push((t.text.as_str(), angle > 0));
-        }
-    }
-    let for_pos = names.iter().position(|(n, ing)| *n == "for" && !ing);
-    let target = match for_pos {
-        Some(p) => names[p + 1..].iter().find(|(_, ing)| !ing).map(|(n, _)| *n)?,
-        None => names.iter().find(|(_, ing)| !ing).map(|(n, _)| *n)?,
-    };
-    // For trait impls, the trait is the last path segment before `for`
-    // (`impl std::fmt::Display for Cache` → `Display`).
-    let trait_name = for_pos
-        .and_then(|p| names[..p].iter().rev().find(|(_, ing)| !ing).map(|(n, _)| n.to_string()));
-    let close = matching_brace(toks, open);
-    Some((Impl { target: target.to_string(), trait_name, line }, open..close + 1))
-}
-
-/// Parses the `struct` whose keyword sits at `at`; returns the item and
-/// the token index to continue from.
-fn parse_struct(toks: &[Tok], at: usize) -> Option<(Struct, usize)> {
-    let name_tok = toks.get(at + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    let line = toks[at].line;
-    let name = name_tok.text.clone();
-    // Find what ends the declaration: `{` (named fields), `(` (tuple), or
-    // `;` (unit) — whichever comes first at angle-depth zero.
-    let mut angle = 0i32;
-    let mut j = at + 2;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle -= 1;
-        } else if angle == 0 && (t.is_punct('{') || t.is_punct('(') || t.is_punct(';')) {
-            break;
-        }
-        j += 1;
-    }
-    let mut fields = Vec::new();
-    let mut next = j + 1;
-    if j < toks.len() && toks[j].is_punct('{') {
-        let close = matching_brace(toks, j);
-        let field_depth = toks[j].depth + 1;
-        let mut k = j + 1;
-        while k < close {
-            // A field is `ident :` at the field depth (skipping `pub` and
-            // attributes); collect type tokens until the `,` at that depth.
-            if toks[k].kind == TokKind::Ident
-                && toks[k].depth == field_depth
-                && !toks[k].is_ident("pub")
-                && toks.get(k + 1).is_some_and(|n| n.is_punct(':'))
-            {
-                let fname = toks[k].text.clone();
-                let mut ty = Vec::new();
-                let mut m = k + 2;
-                while m < close && !(toks[m].is_punct(',') && toks[m].depth == field_depth) {
-                    ty.push(toks[m].text.clone());
-                    m += 1;
-                }
-                fields.push((fname, ty));
-                k = m + 1;
-            } else {
-                k += 1;
-            }
-        }
-        next = close + 1;
-    }
-    Some((Struct { name, line, fields }, next))
+    FileModel { tokens: toks.to_vec(), functions }
 }
 
 /// Parses the `fn` whose keyword sits at `at`.
-fn parse_fn(toks: &[Tok], at: usize, impl_ranges: &[(Range<usize>, String)]) -> Option<Function> {
+fn parse_fn(toks: &[Tok], at: usize) -> Option<Function> {
     let name_tok = toks.get(at + 1)?;
     if name_tok.kind != TokKind::Ident {
         return None; // `fn` in a type position (`fn(u32) -> u32`)
@@ -394,16 +247,7 @@ fn parse_fn(toks: &[Tok], at: usize, impl_ranges: &[(Range<usize>, String)]) -> 
         }
         j += 1;
     }
-    let impl_target =
-        impl_ranges.iter().find(|(range, _)| range.contains(&at)).map(|(_, target)| target.clone());
-    Some(Function {
-        name: name_tok.text.clone(),
-        line,
-        is_pub,
-        impl_target,
-        sig: at..sig_end,
-        body,
-    })
+    Some(Function { name: name_tok.text.clone(), line, is_pub, sig: at..sig_end, body })
 }
 
 #[cfg(test)]
@@ -426,40 +270,6 @@ mod tests {
         assert_eq!(body_calls.len(), 1);
         assert_eq!(body_calls[0].callee, "beta");
         assert!(!body_calls[0].is_method);
-    }
-
-    #[test]
-    fn impl_targets_attach_to_functions() {
-        let text = "struct Cache;\nimpl Cache {\n    pub fn get(&self) {}\n}\n\
-                    impl std::fmt::Display for Cache {\n    fn fmt(&self, f: &mut F) -> R { todo!() }\n}\n";
-        let m = model_of(text);
-        assert_eq!(m.impls.len(), 2);
-        assert_eq!(m.impls[0].target, "Cache");
-        assert_eq!(m.impls[1].target, "Cache");
-        assert_eq!(m.impls[1].trait_name.as_deref(), Some("Display"));
-        let get = m.functions.iter().find(|f| f.name == "get").unwrap();
-        assert_eq!(get.impl_target.as_deref(), Some("Cache"));
-    }
-
-    #[test]
-    fn generic_impls_resolve_the_self_type() {
-        let m = model_of("impl<T: Clone> Holder<T> {\n    fn take(&self) {}\n}\n");
-        assert_eq!(m.impls[0].target, "Holder");
-        assert_eq!(m.functions[0].impl_target.as_deref(), Some("Holder"));
-    }
-
-    #[test]
-    fn struct_fields_are_extracted() {
-        let text = "pub struct FooConfig {\n    pub banks: u32,\n    line_bytes: u64,\n}\n\
-                    struct Unit;\nstruct Pair(u32, u32);\n";
-        let m = model_of(text);
-        assert_eq!(m.structs.len(), 3);
-        let foo = &m.structs[0];
-        assert_eq!(foo.name, "FooConfig");
-        assert_eq!(foo.fields.len(), 2);
-        assert_eq!(foo.fields[0].0, "banks");
-        assert_eq!(foo.fields[1].1, ["u64"]);
-        assert!(m.structs[1].fields.is_empty());
     }
 
     #[test]

@@ -104,8 +104,8 @@ impl SourceFile {
 
 /// Extracts the rule list following `marker` in a comment, plus the free
 /// text after it — the written justification, e.g.
-/// `hbc-allow: determinism, units (why…)` → `([determinism, units],
-/// "(why…)")`. `None` when the marker is absent or names no rules.
+/// `hbc-allow: lock-discipline, units (why…)` → `([lock-discipline,
+/// units], "(why…)")`. `None` when the marker is absent or names no rules.
 ///
 /// The marker must open the comment (doc-comment `/`/`!` and whitespace
 /// aside) — prose that merely *mentions* `hbc-allow:` mid-sentence is not
@@ -305,28 +305,6 @@ fn mark_test_blocks(lines: &mut [Line]) {
     }
 }
 
-/// Iterator over identifier tokens of a code line, with byte offsets.
-pub fn tokens(code: &str) -> impl Iterator<Item = (usize, &str)> {
-    let mut out = Vec::new();
-    let bytes = code.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-            {
-                i += 1;
-            }
-            out.push((start, &code[start..i]));
-        } else {
-            i += 1;
-        }
-    }
-    out.into_iter()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,21 +331,23 @@ mod tests {
 
     #[test]
     fn allow_same_line_and_line_above() {
-        let f =
-            parse("// hbc-allow: determinism (audited)\nuse foo;\nbar(); // hbc-allow: units\n");
-        assert!(f.allowed(2, "determinism"));
+        let f = parse(
+            "// hbc-allow: lock-discipline (audited)\nuse foo;\nbar(); // hbc-allow: units\n",
+        );
+        assert!(f.allowed(2, "lock-discipline"));
         assert!(!f.allowed(2, "units"));
         assert!(f.allowed(3, "units"));
-        assert!(!f.allowed(1, "determinism")); // annotation line guards the next line
+        assert!(!f.allowed(1, "lock-discipline")); // annotation line guards the next line
     }
 
     #[test]
     fn allow_file_and_multiple_rules() {
-        let f =
-            parse("// hbc-allow-file: units\nfn a() {}\n// hbc-allow: determinism, panic\nb();");
+        let f = parse(
+            "// hbc-allow-file: units\nfn a() {}\n// hbc-allow: lock-discipline, units\nb();",
+        );
         assert!(f.allowed(2, "units"));
-        assert!(f.allowed(4, "determinism"));
-        assert!(f.allowed(4, "panic"));
+        assert!(!f.allowed(2, "lock-discipline"));
+        assert!(f.allowed(4, "lock-discipline"));
     }
 
     #[test]
@@ -397,12 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn token_iteration() {
-        let toks: Vec<&str> = tokens("use std::collections::HashMap;").map(|(_, t)| t).collect();
-        assert_eq!(toks, vec!["use", "std", "collections", "HashMap"]);
-    }
-
-    #[test]
     fn raw_string_containing_slashes_is_not_a_comment() {
         // `//` inside a raw string must not start a line comment: the code
         // after the literal is still live.
@@ -421,9 +395,9 @@ mod tests {
 
     #[test]
     fn allow_survives_blank_line_to_target() {
-        let f = parse("// hbc-allow: determinism (audited)\n\nuse foo;\n");
-        assert!(f.allowed(3, "determinism"), "annotation crosses the blank line");
-        assert!(!f.allowed(2, "determinism"));
+        let f = parse("// hbc-allow: lock-discipline (audited)\n\nuse foo;\n");
+        assert!(f.allowed(3, "lock-discipline"), "annotation crosses the blank line");
+        assert!(!f.allowed(2, "lock-discipline"));
     }
 
     #[test]
@@ -440,25 +414,25 @@ mod tests {
     fn string_line_continuation_keeps_line_numbering() {
         // A `\`-continued string spans two source lines; the model must
         // still emit both, or every annotation below it shifts by one.
-        let f = parse("let s = \"a \\\n   b\";\n// hbc-allow: panic (audited)\nx.unwrap();\n");
+        let f = parse("let s = \"a \\\n   b\";\n// hbc-allow: units (audited)\nx.unwrap();\n");
         assert_eq!(f.lines.len(), 4);
-        assert!(f.allowed(4, "panic"));
+        assert!(f.allowed(4, "units"));
     }
 
     #[test]
     fn annotations_record_rules_scope_and_justification() {
         let text = "// hbc-allow-file: units (legacy raw API)\n\
                     fn a() {}\n\
-                    x(); // hbc-allow: determinism, panic (seeded fallback)\n\
-                    y(); // hbc-allow: cast-truncation\n";
+                    x(); // hbc-allow: lock-discipline, units (startup only)\n\
+                    y(); // hbc-allow: lock-discipline\n";
         let f = parse(text);
         assert_eq!(f.annotations.len(), 3);
         assert!(f.annotations[0].file_level);
         assert_eq!(f.annotations[0].rules, ["units"]);
         assert_eq!(f.annotations[0].justification, "(legacy raw API)");
         assert_eq!(f.annotations[1].line, 3);
-        assert_eq!(f.annotations[1].rules, ["determinism", "panic"]);
-        assert_eq!(f.annotations[1].justification, "(seeded fallback)");
+        assert_eq!(f.annotations[1].rules, ["lock-discipline", "units"]);
+        assert_eq!(f.annotations[1].justification, "(startup only)");
         assert!(f.annotations[2].justification.is_empty());
     }
 }

@@ -11,11 +11,10 @@ use std::path::PathBuf;
 fn schema_v1_snapshot() {
     let findings = vec![
         Finding {
-            rule: "determinism",
-            path: PathBuf::from("crates/mem/src/lib.rs"),
+            rule: "units",
+            path: PathBuf::from("crates/timing/src/fo4.rs"),
             line: 12,
-            message: "`HashMap` in hbc-mem: iteration order is randomized; use BTreeMap"
-                .to_string(),
+            message: "pub fn `speed` exposes raw `f64`; use the unit newtypes".to_string(),
         },
         Finding {
             rule: "lock-discipline",
@@ -26,12 +25,11 @@ fn schema_v1_snapshot() {
     ];
     let expected = concat!(
         "{\"version\":1,",
-        "\"rules\":[\"determinism\",\"exec-merge\",\"units\",\"config-validate\",\"panic\",",
-        "\"serve-io-panic\",\"lock-discipline\",\"cast-truncation\"],",
+        "\"rules\":[\"units\",\"lock-discipline\"],",
         "\"files_scanned\":126,",
         "\"findings\":[",
-        "{\"rule\":\"determinism\",\"path\":\"crates/mem/src/lib.rs\",\"line\":12,",
-        "\"message\":\"`HashMap` in hbc-mem: iteration order is randomized; use BTreeMap\"},",
+        "{\"rule\":\"units\",\"path\":\"crates/timing/src/fo4.rs\",\"line\":12,",
+        "\"message\":\"pub fn `speed` exposes raw `f64`; use the unit newtypes\"},",
         "{\"rule\":\"lock-discipline\",\"path\":\"crates/serve/src/server.rs\",\"line\":40,",
         "\"message\":\"escapes: quote \\\" backslash \\\\ newline \\n tab \\t\"}",
         "]}"
@@ -58,5 +56,5 @@ fn rules_array_tracks_the_rules_table() {
             rule.name
         );
     }
-    assert_eq!(RULES.len(), 8);
+    assert_eq!(RULES.len(), 2);
 }

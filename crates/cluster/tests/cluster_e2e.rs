@@ -6,6 +6,8 @@
 //! spec — no matter which worker answered, and no matter whether the
 //! spec's primary worker died first.
 
+#![allow(clippy::expect_used, reason = "setup helpers fail the test on a socket or server error")]
+
 use std::time::{Duration, Instant};
 
 use hbc_cluster::coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};

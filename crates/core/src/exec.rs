@@ -17,7 +17,7 @@
 //!    the engine writes each result into slot `index` of the output after
 //!    all workers have joined. Nothing is merged in arrival order, and no
 //!    `Mutex`/channel sits between the workers and the output (the
-//!    `exec-merge` analyzer rule keeps it that way).
+//!    `disallowed-types` of `crates/sim-clippy.toml` keep it that way).
 //!
 //! Consequently [`run_cells`] with any worker count is bit-identical to the
 //! serial loop `(0..cells).map(cell).collect()` — the property the

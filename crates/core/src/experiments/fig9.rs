@@ -40,15 +40,15 @@ pub fn curves(benchmark: Benchmark, params: &ExpParams) -> Vec<Fig9Point> {
     // simulation cell has a fixed index before execution starts.
     let mut pts = Vec::new();
     for &cycle in &CYCLE_TIMES {
-        for depth in 1..=3u64 {
+        for depth in 1..=3u32 {
             let cache = pipeline::max_cache_size(
                 &model,
                 PortStructure::Duplicate,
                 Fo4::new(cycle),
                 &tech,
-                depth as u32,
+                depth,
             );
-            pts.push((cycle, depth, cache));
+            pts.push((cycle, u64::from(depth), cache));
         }
     }
     // Cell 0 is the normalization baseline, cells 1.. the sweep points
@@ -123,14 +123,14 @@ pub fn run(params: &ExpParams) -> Table {
     let mut avg = vec![vec![(0.0f64, 0u32); CYCLE_TIMES.len()]; 3];
     for &b in &params.benchmarks {
         let pts = curves(b, params);
-        for depth in 1..=3u64 {
+        for depth in 1..=3usize {
             let mut row = vec![b.name().to_string(), format!("{depth}~")];
             for (ci, _) in CYCLE_TIMES.iter().enumerate() {
-                let p = &pts[ci * 3 + (depth as usize - 1)];
+                let p = &pts[ci * 3 + (depth - 1)];
                 match (p.cache, p.normalized_time) {
                     (Some(c), Some(t)) => {
-                        avg[depth as usize - 1][ci].0 += t;
-                        avg[depth as usize - 1][ci].1 += 1;
+                        avg[depth - 1][ci].0 += t;
+                        avg[depth - 1][ci].1 += 1;
                         row.push(format!("{}({c})", fmt_f(t, 2)));
                     }
                     _ => row.push("-".to_string()),

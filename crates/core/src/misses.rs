@@ -106,6 +106,10 @@ mod tests {
 
     const SIZES_KIB: [u64; 9] = [4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a miss count never exceeds the draw count `n`"
+    )]
     fn miss_counts(b: Benchmark, sizes: &[u64], n: u64, seed: u64) -> Vec<u64> {
         miss_curve(b, sizes, n, seed).iter().map(|m| (m * n as f64).round() as u64).collect()
     }

@@ -211,6 +211,7 @@ impl SimBuilder {
     /// Panics if the configuration is invalid (the experiment drivers only
     /// construct valid ones).
     pub fn run(&self) -> SimResult {
+        #[expect(clippy::expect_used, reason = "documented panic: the drivers build valid configs")]
         let mut mem = MemSystem::new(self.mem_config()).expect("valid memory configuration");
         // Functional pre-warming: bring the hierarchy to the steady state a
         // trace as long as the paper's would reach, then measure. The warm
@@ -253,10 +254,18 @@ impl SimBuilder {
                     Measured::Replayed(replay)
                 }
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic: the drivers build valid configs"
+            )]
             let mut core =
                 Core::new(self.cpu.clone(), mem, stream).expect("valid CPU configuration");
             core.set_event_horizon(self.event_horizon);
             if self.trace_window > 0 {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a trace window is held in memory, so it fits usize"
+                )]
                 core.enable_trace(self.trace_window as usize);
             }
             if self.warmup > 0 {

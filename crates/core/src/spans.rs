@@ -33,20 +33,32 @@ use std::sync::atomic::{AtomicBool, Ordering};
 // The sink is shared metadata, not simulation state: workers append
 // span records in arrival order, and nothing the simulator computes
 // ever reads them back.
-// hbc-allow: exec-merge (global span sink is observability metadata; simulation results never read it)
+#[expect(
+    clippy::disallowed_types,
+    reason = "the span sink is observability metadata; simulation results never read it"
+)]
 use std::sync::{Arc, Mutex, OnceLock};
 // The one wall clock on the simulation side: span timestamps are
 // wall-time by definition and never feed back into simulated state.
-// hbc-allow: determinism (span timestamps are wall-clock metadata; simulated numbers never depend on them)
+#[expect(
+    clippy::disallowed_types,
+    reason = "span timestamps are wall-clock metadata; simulated numbers never read them"
+)]
 use std::time::Instant;
 
 /// Fast path: `false` means every span call returns immediately.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// The installed sink, if any.
-// hbc-allow: exec-merge (global span sink is observability metadata; simulation results never read it)
+#[expect(
+    clippy::disallowed_types,
+    reason = "the span sink is observability metadata; simulation results never read it"
+)]
 static SINK: Mutex<Option<Arc<SpanLog>>> = Mutex::new(None);
 /// Monotonic origin all `*_us` stamps are measured from.
-// hbc-allow: determinism (span timestamps are wall-clock metadata; simulated numbers never depend on them)
+#[expect(
+    clippy::disallowed_types,
+    reason = "span timestamps are wall-clock metadata; simulated numbers never read them"
+)]
 static ORIGIN: OnceLock<Instant> = OnceLock::new();
 
 thread_local! {
@@ -67,7 +79,11 @@ fn sink() -> Option<Arc<SpanLog>> {
 /// returns it; subsequent span calls on any thread record into it.
 pub fn install(capacity: usize) -> Arc<SpanLog> {
     let log = Arc::new(SpanLog::new(capacity));
-    // hbc-allow: determinism (span timestamps are wall-clock metadata; simulated numbers never depend on them)
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "span timestamps are wall-clock metadata; simulated numbers never read them"
+    )]
     ORIGIN.get_or_init(Instant::now);
     *SINK.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Arc::clone(&log));
     ENABLED.store(true, Ordering::Release);

@@ -84,6 +84,10 @@ impl Record {
     /// both.
     fn encode(inst: DynInst) -> Self {
         let id = inst.id().get();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the assert bounds the distance to u32"
+        )]
         let back = |src: Option<InstId>| {
             let distance = src.map_or(0, |s| id - s.get());
             assert!(distance <= u64::from(u32::MAX), "source {distance} back exceeds a record");

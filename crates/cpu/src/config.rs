@@ -104,6 +104,7 @@ impl Default for CpuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbc_mem::{MemConfig, MemSystem, PortModel};
 
     #[test]
     fn paper_values() {
@@ -116,11 +117,20 @@ mod tests {
 
     #[test]
     fn invalid_rejected() {
-        let mut c = CpuConfig::paper();
-        c.issue_width = 0;
-        assert!(c.validate().is_err());
-        let mut c = CpuConfig::paper();
-        c.lsq_entries = 128;
-        assert!(c.validate().is_err());
+        let mut no_issue = CpuConfig::paper();
+        no_issue.issue_width = 0;
+        let mut lsq_over_rob = CpuConfig::paper();
+        lsq_over_rob.lsq_entries = 128;
+        // Construction is the only way to simulate from a config, and it
+        // rejects every config that `validate` rejects.
+        for c in [no_issue, lsq_over_rob] {
+            assert!(c.validate().is_err(), "{c:?}");
+            let mem =
+                MemSystem::new(MemConfig::paper_sram(32 << 10, 1, PortModel::Duplicate)).unwrap();
+            assert!(
+                crate::Core::new(c.clone(), mem, std::iter::empty()).is_err(),
+                "Core::new accepted {c:?}"
+            );
+        }
     }
 }

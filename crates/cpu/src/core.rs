@@ -752,6 +752,10 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                 break;
             }
             self.completions.pop();
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "hot path: an in-flight id is within the ROB of its head"
+            )]
             let pos = self.rob.pos((id - self.head) as usize);
             let slot = &mut self.rob.slots[pos];
             let inst = slot.inst;
@@ -817,6 +821,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     fn access_memory(&mut self, now: u64) -> Option<RejectReason> {
         let traced = self.tracer.is_some();
         while let Some(pos) = self.port_waiting.oldest(self.rob.head_pos) {
+            #[expect(clippy::expect_used, reason = "only loads wait for a port")]
             let addr = self.rob.slots[pos].inst.addr().expect("loads carry addresses");
             let response = self.mem.try_load(addr);
             if traced {
@@ -896,6 +901,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
             let inst = slot.inst;
             let dispatched_at = slot.dispatched_at;
             if inst.op().is_store() {
+                #[expect(clippy::expect_used, reason = "`is_store` checked just above")]
                 let addr = inst.addr().expect("stores carry addresses");
                 if !self.mem.commit_store(addr) {
                     saturating_count(&mut stats.store_stall_cycles, 1);
@@ -932,6 +938,7 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
                 saturating_count(&mut stats.rob_full_cycles, 1);
                 break;
             }
+            #[expect(clippy::expect_used, reason = "every instruction source is endless")]
             let inst = match self.staged.take() {
                 Some(i) => i,
                 None => self.stream.next().expect("instruction stream must be infinite"),
@@ -964,6 +971,10 @@ impl<I: Iterator<Item = DynInst>> Core<I> {
     /// Enters `inst` into the window behind the youngest instruction. Each
     /// source whose producer is in the window and not yet done joins that
     /// producer's waiter list; with none, `inst` is ready at once.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "hot path: `age` is below the ROB length, and a slot and operand bit fit a u32"
+    )]
     fn dispatch(&mut self, inst: DynInst, now: u64) {
         let pos = self.rob.pos(self.rob.len());
         let mut slot =

@@ -80,6 +80,10 @@ impl Gshare {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "masked to `index_bits`, which index the table"
+    )]
     fn index(&self, pc: u64) -> usize {
         let mask = (1u64 << self.index_bits) - 1;
         (((pc >> 2) ^ self.history) & mask) as usize

@@ -102,6 +102,7 @@ impl DynInst {
     /// not precede this instruction.
     pub fn with_src(mut self, producer: InstId) -> Self {
         assert!(producer < self.id, "producer {producer} must precede {}", self.id);
+        #[expect(clippy::expect_used, reason = "documented panic on a third source operand")]
         let slot = self
             .srcs
             .iter_mut()

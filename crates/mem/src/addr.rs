@@ -31,9 +31,12 @@ pub fn line_base(addr: u64, line_bytes: u64) -> u64 {
 /// # Panics
 ///
 /// Panics if `nbanks` is zero or `line_bytes` is not a power of two.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the value is `% u64::from(nbanks)`, so it fits u32"
+)]
 pub fn bank_of(addr: u64, line_bytes: u64, nbanks: u32) -> u32 {
     assert!(nbanks > 0, "bank count must be non-zero");
-    // hbc-allow: cast-truncation (the value is `% u64::from(nbanks)`, so it fits u32 by construction)
     (line_index(addr, line_bytes) % u64::from(nbanks)) as u32
 }
 

@@ -43,6 +43,10 @@ impl Bus {
     }
 
     /// Cycles a transfer of `bytes` occupies the bus (at least one).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-int `as` saturates; the ratio is non-negative"
+    )]
     pub fn transfer_cycles(&self, bytes: u64) -> u64 {
         ((bytes as f64 / self.bytes_per_cycle).ceil() as u64).max(1)
     }

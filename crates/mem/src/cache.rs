@@ -70,6 +70,10 @@ impl CacheArray {
         assert!(lines >= u64::from(assoc), "cache smaller than one set");
         let sets = lines / u64::from(assoc);
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the tag array is allocated, so its length fits usize"
+        )]
         CacheArray {
             size_bytes,
             assoc,
@@ -101,6 +105,10 @@ impl CacheArray {
     }
 
     /// The line index of `addr` and the range of its set's ways.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "hot path: a way index lies inside the allocated array"
+    )]
     fn locate(&self, addr: u64) -> (u64, std::ops::Range<usize>) {
         let line = line_index(addr, self.line_bytes);
         let base = ((line & self.set_mask) * u64::from(self.assoc)) as usize;
@@ -290,12 +298,17 @@ mod tests {
     impl StampArray {
         fn new(size_bytes: u64, assoc: u32, line_bytes: u64) -> Self {
             let sets = size_bytes / line_bytes / u64::from(assoc);
+            #[expect(clippy::cast_possible_truncation, reason = "test geometries are small")]
             let ways = vec![(INVALID, 0); (sets * u64::from(assoc)) as usize];
             StampArray { assoc: assoc as usize, line_bytes, set_mask: sets - 1, ways, clock: 0 }
         }
 
         fn set(&self, addr: u64) -> (u64, std::ops::Range<usize>) {
             let line = line_index(addr, self.line_bytes);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "masked to the set count of a small test array"
+            )]
             let base = (line & self.set_mask) as usize * self.assoc;
             (line, base..base + self.assoc)
         }

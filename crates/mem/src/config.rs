@@ -472,12 +472,21 @@ mod tests {
     fn invalid_configs_rejected() {
         assert!(PortModel::Banked(3).validate().is_err());
         assert!(PortModel::Ideal(0).validate().is_err());
-        let mut c = MemConfig::paper_sram(32 << 10, 1, PortModel::Duplicate);
-        c.l1.hit_cycles = 0;
-        assert!(c.validate().is_err());
-        let mut c = MemConfig::paper_sram(4 << 10, 1, PortModel::Banked(8));
-        c.l1.ports = PortModel::Banked(256);
-        assert!(c.validate().is_err(), "more banks than lines");
+        let mut zero_hit = MemConfig::paper_sram(32 << 10, 1, PortModel::Duplicate);
+        zero_hit.l1.hit_cycles = 0;
+        let mut too_many_banks = MemConfig::paper_sram(4 << 10, 1, PortModel::Banked(8));
+        too_many_banks.l1.ports = PortModel::Banked(256);
+        // Construction is the only way to simulate from a config, and it
+        // rejects every config that `validate` rejects.
+        for c in [
+            MemConfig::paper_sram(32 << 10, 1, PortModel::Banked(3)),
+            MemConfig::paper_sram(32 << 10, 1, PortModel::Ideal(0)),
+            zero_hit,
+            too_many_banks,
+        ] {
+            assert!(c.validate().is_err(), "{c:?}");
+            assert!(crate::MemSystem::new(c.clone()).is_err(), "MemSystem::new accepted {c:?}");
+        }
     }
 
     #[test]

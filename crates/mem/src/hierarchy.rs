@@ -266,6 +266,10 @@ impl MemSystem {
             }
             None => {
                 let fill_at = self.fill_from_below(addr, miss_seen_at);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "MSHR availability is checked before the port"
+                )]
                 self.mshrs
                     .allocate(line, fill_at)
                     .expect("MSHR availability was checked before the port");
@@ -308,6 +312,10 @@ impl MemSystem {
                     saturating_count(&mut self.stats.miss_merges, 1);
                 } else {
                     let fill_at = self.fill_from_below(addr, self.now + self.cfg.l1.hit_cycles);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "MSHR availability is checked before the port"
+                    )]
                     self.mshrs
                         .allocate(line, fill_at)
                         .expect("MSHR availability was checked before the port");

@@ -126,6 +126,10 @@ impl Histogram {
         }
         let q = q.clamp(0.0, 1.0);
         // Nearest rank: the smallest rank r (1-based) with r >= q * count.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`q` is clamped to [0, 1], so the rank is at most `count`"
+        )]
         let rank = ((q * self.count as f64).ceil() as u64).max(1);
         let mut cumulative = 0u64;
         for (k, occupancy) in self.buckets.iter().enumerate() {
@@ -204,6 +208,7 @@ mod tests {
         assert_eq!(h.quantile(0.0), 1);
         assert_eq!(h.quantile(1.0), 100);
         for q in [0.5f64, 0.95, 0.99] {
+            #[expect(clippy::cast_possible_truncation, reason = "a rank of at most 100")]
             let true_rank = (q * 100.0).ceil() as u64;
             let est = h.quantile(q);
             assert!(est >= true_rank, "q={q}: {est} < {true_rank}");

@@ -46,7 +46,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 // Interior mutability is required for a shared ring written by server and
 // worker threads; spans are observability metadata, never simulation
 // results, so arrival-order interleaving cannot affect figure output.
-// hbc-allow: exec-merge (span ring holds observability metadata, not simulation results; sim output never reads it)
+#[expect(
+    clippy::disallowed_types,
+    reason = "the span ring holds observability metadata; simulation output never reads it"
+)]
 use std::sync::Mutex;
 
 /// Every stage a span may be recorded under, across the instrumented
@@ -226,7 +229,10 @@ struct Ring {
 #[derive(Debug)]
 pub struct SpanLog {
     capacity: usize,
-    // hbc-allow: exec-merge (span ring holds observability metadata, not simulation results; sim output never reads it)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the span ring holds observability metadata; simulation output never reads it"
+    )]
     ring: Mutex<Ring>,
     next_request: AtomicU64,
     next_span: AtomicU64,
@@ -235,7 +241,10 @@ pub struct SpanLog {
 /// Recovers the ring from a poisoned lock: a panicking writer can only
 /// have lost its own record, and observability must not take the process
 /// down with it.
-// hbc-allow: exec-merge (span ring holds observability metadata, not simulation results; sim output never reads it)
+#[expect(
+    clippy::disallowed_types,
+    reason = "the span ring holds observability metadata; simulation output never reads it"
+)]
 fn ring_lock(ring: &Mutex<Ring>) -> std::sync::MutexGuard<'_, Ring> {
     ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -257,7 +266,10 @@ impl SpanLog {
     pub fn with_id_base(capacity: usize, base: u64) -> Self {
         SpanLog {
             capacity,
-            // hbc-allow: exec-merge (span ring holds observability metadata, not simulation results; sim output never reads it)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "the span ring holds observability metadata; simulation output never reads it"
+            )]
             ring: Mutex::new(Ring {
                 records: VecDeque::with_capacity(capacity.min(4096)),
                 dropped: 0,

@@ -149,13 +149,16 @@ impl ResultCache {
         let dir = self.dir.as_ref()?;
         let body = read_to_string_if_present(&dir.join(format!("{hash}.out")))?;
         let stored_spec = read_to_string_if_present(&dir.join(format!("{hash}.spec")));
+        // A content-address hit whose stored spec disagrees with the
+        // request's canonical spec: SHA-256 collision or corrupted entry.
+        // Re-simulating is always safe; sanitize builds fail loudly instead
+        // so the cause gets investigated.
+        #[cfg_attr(
+            feature = "sanitize",
+            expect(clippy::panic, reason = "sanitize builds fail loudly by design")
+        )]
         if stored_spec.as_deref() != Some(canonical) {
-            // A content-address hit whose stored spec disagrees with the
-            // request's canonical spec: SHA-256 collision or corrupted
-            // entry. Re-simulating is always safe; sanitize builds fail
-            // loudly instead so the cause gets investigated.
             #[cfg(feature = "sanitize")]
-            // hbc-allow: panic (sanitize builds fail loudly by design)
             panic!(
                 "sanitize: cache entry {hash} spec mismatch\n  stored:  {:?}\n  request: {canonical:?}",
                 stored_spec

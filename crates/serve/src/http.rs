@@ -9,8 +9,8 @@
 //!
 //! Input is untrusted: header and body sizes are capped, and every parse
 //! failure is a typed [`HttpError`] the server maps to a `400` rather
-//! than a panic — `unwrap`/`expect` on socket I/O is banned in this crate
-//! by the `serve-io-panic` analyzer rule.
+//! than a panic — `unwrap`/`expect` is denied in this crate by its
+//! `[lints.clippy]` table.
 
 use std::fmt;
 use std::io::{self, Read, Write};

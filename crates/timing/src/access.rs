@@ -168,6 +168,7 @@ impl AccessTimeModel {
     }
 
     /// The full Figure 1 table at the paper's nine sweep sizes.
+    #[expect(clippy::expect_used, reason = "every sweep size is in the model's range")]
     pub fn figure1(&self) -> Vec<Fig1Row> {
         CacheSize::sram_sweep()
             .into_iter()

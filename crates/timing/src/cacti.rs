@@ -250,6 +250,7 @@ impl CactiModel {
     ///
     /// Panics if no legal organization exists in `space` (only possible for
     /// degenerate sizes far below the paper's 4 KB floor).
+    #[expect(clippy::panic, reason = "documented panic on a degenerate size")]
     pub fn best_organization(&self, size: CacheSize, space: &SearchSpace) -> BestOrganization {
         let mut best: Option<BestOrganization> = None;
         let mut ndwl = 1;

@@ -153,6 +153,10 @@ impl Nanoseconds {
     /// # Panics
     ///
     /// Panics if `cycle` is zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-int `as` saturates; the ratio is positive"
+    )]
     // hbc-allow: units (whole cycle counts are the simulator's native u64)
     pub fn to_cycles(self, cycle: Nanoseconds) -> u64 {
         assert!(cycle.0 > 0.0, "cycle time must be positive");

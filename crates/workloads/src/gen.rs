@@ -102,6 +102,7 @@ impl WorkloadGen {
     ///
     /// Panics if `spec` fails [`BenchmarkSpec::validate`].
     pub fn from_spec(spec: BenchmarkSpec, seed: u64) -> Self {
+        #[expect(clippy::panic, reason = "documented panic on an invalid spec")]
         if let Err(e) = spec.validate() {
             panic!("invalid benchmark spec: {e}");
         }
@@ -206,6 +207,10 @@ impl WorkloadGen {
         if !self.recent_loads.is_empty() && self.rng.chance(self.spec.load_use_prob) {
             // Mostly the very latest load (classic load-use), occasionally
             // a slightly older one.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`below(len)` is less than a usize length"
+            )]
             let i = if self.rng.chance(0.7) {
                 self.recent_loads.len() - 1
             } else {
@@ -547,6 +552,7 @@ mod tests {
     fn processes_partition_address_space() {
         // database runs two processes; user addresses must appear in two
         // distinct high-bit regions (pmake likewise).
+        #[expect(clippy::cast_possible_truncation, reason = "a handful of address spaces")]
         let spaces_of = |b: Benchmark| {
             let mut spaces = std::collections::BTreeSet::new();
             for inst in WorkloadGen::new(b, 6).take(300_000) {

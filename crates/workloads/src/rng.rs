@@ -79,6 +79,10 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `mean` is less than one.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "hot path: a float-to-int `as` saturates; the draw is positive"
+    )]
     pub fn geometric(&mut self, mean: f64) -> u64 {
         assert!(mean >= 1.0, "geometric mean must be at least one");
         if mean == 1.0 {
@@ -105,6 +109,10 @@ impl Rng {
     /// [`Rng::geometric`] with the `ln(1 - p)` denominator hoisted out:
     /// bit-identical samples from the identical single draw, minus one
     /// `ln` per call on hot paths that sample the same mean repeatedly.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "hot path: a float-to-int `as` saturates; the draw is positive"
+    )]
     pub fn geometric_with(&mut self, denom: f64) -> u64 {
         let u = self.next_f64().max(f64::MIN_POSITIVE);
         (u.ln() / denom).floor() as u64 + 1
