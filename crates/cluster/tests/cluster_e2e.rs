@@ -6,7 +6,7 @@
 //! spec — no matter which worker answered, and no matter whether the
 //! spec's primary worker died first.
 
-#![allow(clippy::expect_used, reason = "setup helpers fail the test on a socket or server error")]
+#![expect(clippy::expect_used, reason = "setup helpers fail the test on a socket or server error")]
 
 use std::time::{Duration, Instant};
 

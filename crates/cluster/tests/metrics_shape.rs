@@ -5,7 +5,7 @@
 //! values are not pinned. A family that is dropped, renamed or added
 //! fails here before any dashboard or scrape config notices.
 
-#![allow(clippy::expect_used, reason = "setup helpers fail the test on a socket or server error")]
+#![expect(clippy::expect_used, reason = "setup helpers fail the test on a socket or server error")]
 
 use std::collections::BTreeSet;
 use std::time::Duration;

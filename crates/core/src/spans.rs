@@ -103,6 +103,10 @@ pub fn enabled() -> bool {
 }
 
 /// Microseconds since the sink's monotonic origin (0 when disabled).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "span timestamps are wall-clock metadata; simulated numbers never read them"
+)]
 pub fn now_us() -> u64 {
     if !enabled() {
         return 0;

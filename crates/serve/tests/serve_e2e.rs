@@ -8,7 +8,7 @@
 //! holds on both sides of the race (e.g. "exactly one simulation ran"
 //! rather than "the second request coalesced").
 
-#![allow(clippy::expect_used, reason = "setup helpers fail the test on a socket or server error")]
+#![expect(clippy::expect_used, reason = "setup helpers fail the test on a socket or server error")]
 
 use std::time::{Duration, Instant};
 
@@ -266,8 +266,9 @@ fn metrics_is_valid_prometheus_and_metrics_json_keeps_the_registry() {
     let spec = r#"{"experiment":"table2","preset":"fast","seed":21}"#;
     assert_eq!(post_run(&server, spec).status, 200);
     assert_eq!(post_run(&server, spec).status, 200); // a cache hit
-                                                     // Latency is measured from accept to response written, so it is
-                                                     // recorded just after the client has its reply: wait for both counts.
+
+    // Latency is measured from accept to response written, so it is
+    // recorded just after the client has its reply: wait for both counts.
     let metrics = server.handle().metrics();
     let deadline = Instant::now() + Duration::from_secs(10);
     while hbc_serve::lock(&metrics.latency_micros).count() < 2 {
