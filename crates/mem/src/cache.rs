@@ -118,8 +118,15 @@ impl CacheArray {
     /// `true` if the line containing `addr` is present (does not update
     /// LRU state).
     pub fn probe(&self, addr: u64) -> bool {
+        self.rank(addr).is_some()
+    }
+
+    /// The recency rank of the line containing `addr` in its set: 0 for
+    /// the most recently used way, `None` if the line is absent. Does not
+    /// update LRU state.
+    pub fn rank(&self, addr: u64) -> Option<usize> {
         let (line, set) = self.locate(addr);
-        self.ways[set].contains(&line)
+        self.ways[set].iter().position(|&w| w == line)
     }
 
     /// Accesses `addr`: on a hit, updates LRU and returns `true`; on a
@@ -133,6 +140,26 @@ impl CacheArray {
 
     /// Like [`CacheArray::touch`] but also reports any evicted line.
     pub fn touch_evict(&mut self, addr: u64) -> TouchResult {
+        match self.update(addr) {
+            (Some(_), _) => TouchResult { hit: true, evicted: None },
+            (None, victim) => {
+                TouchResult { hit: false, evicted: (victim != INVALID).then_some(victim) }
+            }
+        }
+    }
+
+    /// Like [`CacheArray::touch`] but reports the line's recency rank
+    /// before the access ([`CacheArray::rank`]): `Some(0)` for a hit on
+    /// the most recently used way, which leaves the array unchanged, and
+    /// `None` for a miss.
+    pub fn touch_rank(&mut self, addr: u64) -> Option<usize> {
+        self.update(addr).0
+    }
+
+    /// The LRU update behind every touch: moves the line of `addr` to the
+    /// front of its set. Returns the line's prior rank (`None` on a miss)
+    /// and the way the shift displaced, which on a miss is the victim.
+    fn update(&mut self, addr: u64) -> (Option<usize>, u64) {
         let (line, set) = self.locate(addr);
         let ways = &mut self.ways[set];
         // A hit at `p` moves the line to the front. A miss drops the LRU
@@ -143,10 +170,7 @@ impl CacheArray {
         let victim = ways[p];
         ways.copy_within(..p, 1);
         ways[0] = line;
-        match hit_at {
-            Some(_) => TouchResult { hit: true, evicted: None },
-            None => TouchResult { hit: false, evicted: (victim != INVALID).then_some(victim) },
-        }
+        (hit_at, victim)
     }
 
     /// Removes the line containing `addr` if present; returns whether it
@@ -204,6 +228,23 @@ mod tests {
         assert!(c.probe(0));
         assert!(!c.probe(32));
         assert!(c.probe(64));
+    }
+
+    #[test]
+    fn touch_rank_reports_the_prior_recency() {
+        let mut c = CacheArray::new(128, 4, 32); // one set, four ways
+        for line in 0..4u64 {
+            assert_eq!(c.touch_rank(line * 32), None, "a miss has no rank");
+        }
+        // Recency order is now lines 3, 2, 1, 0.
+        let before = c.clone();
+        assert_eq!(c.touch_rank(3 * 32 + 5), Some(0));
+        assert_eq!(c, before, "a hit on the most recent way changes nothing");
+        assert_eq!(c.rank(0), Some(3));
+        assert_eq!(c.touch_rank(0), Some(3), "the LRU way");
+        assert_ne!(c, before);
+        assert_eq!([0, 3, 2, 1].map(|line| c.rank(line * 32)), [0, 1, 2, 3].map(Some));
+        assert_eq!(c.rank(4 * 32), None);
     }
 
     #[test]
@@ -415,7 +456,8 @@ mod tests {
     fn larger_caches_include_smaller_ones() {
         // Same associativity and line size, more sets: LRU is a stack
         // algorithm and each larger set refines a smaller one, so every
-        // hit in the smaller cache is a hit in the larger.
+        // hit in the smaller cache is a hit in the larger, at a recency
+        // rank no deeper than in the smaller.
         hbc_ptest::check("cache inclusion", 96, |g| {
             let assoc = *g.pick(&[1u32, 2, 4, 8]);
             let sets = *g.pick(&[1u64, 2, 4, 8]);
@@ -423,10 +465,15 @@ mod tests {
             let mut small = CacheArray::new(small_size, assoc, 32);
             let mut large = CacheArray::new(small_size << g.u32_in(1, 3), assoc, 32);
             let footprint = 4 * small_size / 32;
+            let nested = |small: Option<usize>, large: Option<usize>| {
+                small.is_none_or(|s| large.is_some_and(|l| l <= s))
+            };
             for _ in 0..g.usize_in(1, 800) {
                 let a = addr(g, footprint, 32);
-                let (hit_small, hit_large) = (small.touch(a), large.touch(a));
-                assert!(!hit_small || hit_large, "inclusion broken at {a:#x}");
+                let (rank_small, rank_large) = (small.touch_rank(a), large.touch_rank(a));
+                assert!(nested(rank_small, rank_large), "inclusion broken at {a:#x}");
+                let b = addr(g, footprint, 32);
+                assert!(nested(small.rank(b), large.rank(b)), "inclusion broken at {b:#x}");
             }
         });
     }
