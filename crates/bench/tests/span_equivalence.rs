@@ -14,6 +14,11 @@ use std::sync::Mutex;
 /// interleave their install/uninstall windows.
 static SINK_LOCK: Mutex<()> = Mutex::new(());
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a test-wide guard that must span each test body; it does no socket I/O"
+)]
 fn serialized() -> std::sync::MutexGuard<'static, ()> {
     SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

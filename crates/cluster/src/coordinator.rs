@@ -39,17 +39,17 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hbc_probe::{Histogram, Stage};
 use hbc_serve::front::{Backend, Front, FrontConfig, FrontHandle, Responder};
 use hbc_serve::json::Json;
-use hbc_serve::lock;
 use hbc_serve::metrics::{family, summary, write_stages, AtomicCounter, Metrics};
 use hbc_serve::spans::ServeSpans;
 use hbc_serve::spec::RunRequest;
+use hbc_serve::Locked;
 
 use crate::ring;
 use crate::wire::{self, Msg, TraceCtx};
@@ -101,14 +101,14 @@ impl Default for CoordinatorConfig {
 struct Target {
     addr: String,
     healthy: AtomicBool,
-    in_flight: Mutex<usize>,
-    window_cv: Condvar,
+    /// Requests forwarded and not yet answered, bounded by the window.
+    in_flight: Locked<usize>,
     forwarded: AtomicCounter,
     failures: AtomicCounter,
     hits_memory: AtomicCounter,
     hits_disk: AtomicCounter,
     misses: AtomicCounter,
-    latency_micros: Mutex<Histogram>,
+    latency_micros: Locked<Histogram>,
 }
 
 impl Target {
@@ -116,40 +116,31 @@ impl Target {
         Target {
             addr,
             healthy: AtomicBool::new(true),
-            in_flight: Mutex::new(0),
-            window_cv: Condvar::new(),
+            in_flight: Locked::new(0),
             forwarded: AtomicCounter::default(),
             failures: AtomicCounter::default(),
             hits_memory: AtomicCounter::default(),
             hits_disk: AtomicCounter::default(),
             misses: AtomicCounter::default(),
-            latency_micros: Mutex::new(Histogram::default()),
+            latency_micros: Locked::default(),
         }
     }
 
     /// Claims one in-flight slot, waiting until `deadline` if the window
     /// is full. `false` means the deadline passed first.
     fn acquire(&self, window: usize, deadline: Instant) -> bool {
-        let mut count = lock(&self.in_flight);
-        while *count >= window {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
+        let open = |count: &usize| *count < window;
+        self.in_flight.wait_until(Some(deadline), open, |count, open| {
+            if open {
+                *count += 1;
             }
-            count = match self.window_cv.wait_timeout(count, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
-        *count += 1;
-        true
+            open
+        })
     }
 
     fn release(&self) {
-        let mut count = lock(&self.in_flight);
-        *count = count.saturating_sub(1);
-        drop(count);
-        self.window_cv.notify_one();
+        self.in_flight.with(|count| *count = count.saturating_sub(1));
+        self.in_flight.notify_one();
     }
 }
 
@@ -172,9 +163,8 @@ struct RemoteBackend {
     wire_timeout: Duration,
     probe_interval: Duration,
     metrics: ClusterMetrics,
-    /// Prober pacing/wakeup on drain.
-    probe_mu: Mutex<()>,
-    probe_cv: Condvar,
+    /// Paces the prober; drain wakes it.
+    probe_wake: Locked<()>,
 }
 
 impl RemoteBackend {
@@ -186,8 +176,7 @@ impl RemoteBackend {
             wire_timeout: config.wire_timeout,
             probe_interval: config.probe_interval,
             metrics: ClusterMetrics::default(),
-            probe_mu: Mutex::new(()),
-            probe_cv: Condvar::new(),
+            probe_wake: Locked::new(()),
         }
     }
 }
@@ -302,14 +291,10 @@ fn probe_loop(handle: &FrontHandle<RemoteBackend>) {
             );
             target.healthy.store(alive, Ordering::SeqCst);
         }
-        let guard = lock(&backend.probe_mu);
-        if handle.is_draining() {
+        let wake = Instant::now().checked_add(backend.probe_interval);
+        if backend.probe_wake.wait_until(wake, |()| handle.is_draining(), |(), draining| draining) {
             return;
         }
-        drop(match backend.probe_cv.wait_timeout(guard, backend.probe_interval) {
-            Ok((guard, _)) => guard,
-            Err(poisoned) => poisoned.into_inner().0,
-        });
     }
 }
 
@@ -347,10 +332,7 @@ impl Backend for RemoteBackend {
     }
 
     fn on_drain(&self) {
-        // Taken so a prober between its drain check and its wait cannot
-        // miss the wakeup.
-        drop(lock(&self.probe_mu));
-        self.probe_cv.notify_all();
+        self.probe_wake.notify_all();
     }
 }
 
@@ -473,7 +455,7 @@ fn handle_run(backend: &RemoteBackend, out: &mut Responder<'_, RemoteBackend>, b
         match outcome {
             Ok(Msg::RunOk { cache, spec_hash, body }) => {
                 target.forwarded.inc();
-                lock(&target.latency_micros).record(micros);
+                target.latency_micros.with(|h| h.record(micros));
                 match cache.as_str() {
                     "hit-memory" => target.hits_memory.inc(),
                     "hit-disk" => target.hits_disk.inc(),
@@ -491,7 +473,7 @@ fn handle_run(backend: &RemoteBackend, out: &mut Responder<'_, RemoteBackend>, b
                 // The worker answered: the stack is deterministic, so a
                 // retry elsewhere would fail identically. Forward as-is.
                 target.forwarded.inc();
-                lock(&target.latency_micros).record(micros);
+                target.latency_micros.with(|h| h.record(micros));
                 let status = if (400..=599).contains(&status) { status } else { 500 };
                 out.error(status, &message);
                 return;
@@ -629,7 +611,7 @@ fn render_prometheus(backend: &RemoteBackend, front: &Metrics, spans: &ServeSpan
             &mut out,
             "cluster_worker_latency_microseconds",
             &format!("worker=\"{}\"", t.addr),
-            &lock(&t.latency_micros).clone(),
+            &t.latency_micros.with(|h| h.clone()),
         );
     }
 

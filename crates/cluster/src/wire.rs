@@ -37,6 +37,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use hbc_serve::hash::sha256;
+use hbc_serve::Locked;
 
 /// The protocol version, the only one a build encodes or accepts;
 /// bumped on any frame or payload change.
@@ -429,6 +430,7 @@ pub fn decode(bytes: &[u8]) -> Result<Msg, WireError> {
 
 /// Writes one frame and flushes.
 pub fn write_msg(stream: &mut impl Write, msg: &Msg) -> io::Result<()> {
+    debug_assert!(!Locked::held(), "socket I/O inside a critical section");
     stream.write_all(&encode(msg))?;
     stream.flush()
 }
@@ -451,6 +453,7 @@ fn read_full(stream: &mut impl Read, buf: &mut [u8]) -> Result<(), WireError> {
 
 /// Reads one frame from the stream and decodes it.
 pub fn read_msg(stream: &mut impl Read) -> Result<Msg, WireError> {
+    debug_assert!(!Locked::held(), "socket I/O inside a critical section");
     let mut header = [0u8; HEADER_LEN];
     read_full(stream, &mut header)?;
     let (kind, len, want) = parse_header(&header)?;

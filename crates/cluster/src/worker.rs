@@ -23,16 +23,16 @@ use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hbc_probe::Stage;
 use hbc_serve::cache::ResultCache;
-use hbc_serve::lock;
 use hbc_serve::metrics::AtomicCounter;
 use hbc_serve::server::{LocalBackend, Outcome};
 use hbc_serve::spans::ServeSpans;
+use hbc_serve::Locked;
 
 use crate::wire::{self, Msg, WireError};
 
@@ -84,7 +84,7 @@ struct WorkerShared {
     counters: Counters,
     draining: AtomicBool,
     /// Live connections by ID, for drain (read half-close) and kill.
-    conns: Mutex<BTreeMap<u64, TcpStream>>,
+    conns: Locked<BTreeMap<u64, TcpStream>>,
     next_conn: AtomicU64,
     idle_timeout: Duration,
 }
@@ -96,9 +96,12 @@ impl WorkerShared {
 
     /// Half-closes (drain) or severs (kill) every registered connection.
     fn close_conns(&self, how: Shutdown) {
-        for stream in lock(&self.conns).values() {
-            let _ = stream.shutdown(how);
-        }
+        // `shutdown` does not block on the peer, so it may run under the lock.
+        self.conns.with(|conns| {
+            for stream in conns.values() {
+                let _ = stream.shutdown(how);
+            }
+        });
     }
 
     /// Wakes the acceptor out of its blocking `accept`.
@@ -112,7 +115,7 @@ impl WorkerShared {
 pub struct Worker {
     shared: Arc<WorkerShared>,
     acceptor: JoinHandle<()>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    handlers: Arc<Locked<Vec<JoinHandle<()>>>>,
 }
 
 /// A cloneable reference to a running worker, for drain/kill and stats.
@@ -143,11 +146,11 @@ impl Worker {
             spans,
             counters: Counters::default(),
             draining: AtomicBool::new(false),
-            conns: Mutex::new(BTreeMap::new()),
+            conns: Locked::default(),
             next_conn: AtomicU64::new(1),
             idle_timeout: config.idle_timeout,
         });
-        let handlers = Arc::new(Mutex::new(Vec::new()));
+        let handlers = Arc::new(Locked::default());
         let acceptor = {
             let shared = Arc::clone(&shared);
             let handlers = Arc::clone(&handlers);
@@ -174,7 +177,7 @@ impl Worker {
         let _ = self.acceptor.join();
         // The acceptor has exited, so no new handlers appear; drain the
         // list outside the lock before joining.
-        let handlers: Vec<JoinHandle<()>> = lock(&self.handlers).drain(..).collect();
+        let handlers = self.handlers.with(std::mem::take);
         for handler in handlers {
             let _ = handler.join();
         }
@@ -224,7 +227,7 @@ fn initiate_drain(shared: &WorkerShared) {
 fn accept_loop(
     shared: &Arc<WorkerShared>,
     listener: &TcpListener,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    handlers: &Arc<Locked<Vec<JoinHandle<()>>>>,
 ) {
     for stream in listener.incoming() {
         if shared.draining.load(Ordering::SeqCst) {
@@ -234,19 +237,19 @@ fn accept_loop(
         let Ok(stream) = stream else { continue };
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
-            lock(&shared.conns).insert(conn_id, clone);
+            shared.conns.with(|conns| conns.insert(conn_id, clone));
         }
         let conn_shared = Arc::clone(shared);
         let spawned = std::thread::Builder::new()
             .name("hbc-cluster-worker-conn".to_string())
             .spawn(move || {
                 serve_conn(&conn_shared, stream);
-                lock(&conn_shared.conns).remove(&conn_id);
+                conn_shared.conns.with(|conns| conns.remove(&conn_id));
             });
         match spawned {
-            Ok(handle) => lock(handlers).push(handle),
+            Ok(handle) => handlers.with(|h| h.push(handle)),
             Err(_) => {
-                lock(&shared.conns).remove(&conn_id);
+                shared.conns.with(|conns| conns.remove(&conn_id));
             }
         }
     }
@@ -255,9 +258,9 @@ fn accept_loop(
 /// Joins the handlers whose connections have closed, so a long-lived
 /// worker retains only live threads. The finished handles leave the list
 /// under the lock and are joined after it is released.
-fn reap_finished(handlers: &Mutex<Vec<JoinHandle<()>>>) {
+fn reap_finished(handlers: &Locked<Vec<JoinHandle<()>>>) {
     let finished: Vec<JoinHandle<()>> =
-        lock(handlers).extract_if(.., |handle| handle.is_finished()).collect();
+        handlers.with(|h| h.extract_if(.., |handle| handle.is_finished()).collect());
     for handle in finished {
         let _ = handle.join();
     }
@@ -316,6 +319,7 @@ fn serve_conn(shared: &Arc<WorkerShared>, mut stream: TcpStream) {
                     start_us,
                     end_us,
                 );
+                debug_assert!(!Locked::held(), "socket I/O inside a critical section");
                 if stream.write_all(&frame).is_err() || shared.draining.load(Ordering::SeqCst) {
                     return;
                 }
@@ -586,8 +590,8 @@ mod tests {
         // The client has hung up: its handler deregisters the connection
         // and exits, and every handle the acceptor has pushed is finished.
         let settled = || {
-            let closed = lock(&worker.shared.conns).is_empty();
-            closed && lock(&worker.handlers).iter().all(|h| h.is_finished())
+            worker.shared.conns.with(|conns| conns.is_empty())
+                && worker.handlers.with(|h| h.iter().all(JoinHandle::is_finished))
         };
         for _ in 0..40 {
             assert!(matches!(roundtrip(addr, &Msg::Health), Msg::HealthOk { .. }));
@@ -598,7 +602,7 @@ mod tests {
         // Each accept joins every finished handler. What remains is the
         // newest connection's handle and at most one the acceptor pushed
         // after the test last looked, never one per forward.
-        let retained = lock(&worker.handlers).len();
+        let retained = worker.handlers.with(|h| h.len());
         assert!(retained <= 2, "{retained} connection handles retained after 40 forwards");
         worker.handle().drain();
         worker.join();

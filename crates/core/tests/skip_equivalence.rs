@@ -3,7 +3,7 @@
 //! For randomized `(benchmark, cache configuration, seed, window)` triples,
 //! a run with skipping enabled must produce bit-identical processor stats,
 //! memory stats, and probe exports to the reference tick-by-tick loop
-//! (`event_horizon(false)`). This is the external contract DESIGN.md §13
+//! (`event_horizon(false)`). This is the external contract DESIGN.md §12
 //! states; the `sanitize` feature additionally re-executes every skipped
 //! span in lockstep inside the engine itself.
 

@@ -40,9 +40,8 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use crate::lock;
+use crate::Locked;
 
 /// Which tier served a cache hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +104,7 @@ impl Lru {
 pub struct ResultCache {
     dir: Option<PathBuf>,
     capacity: usize,
-    lru: Mutex<Lru>,
+    lru: Locked<Lru>,
     evictions: AtomicU64,
 }
 
@@ -117,7 +116,7 @@ impl ResultCache {
         ResultCache {
             dir: Some(dir.into().join(hbc_core::pins::model_digest())),
             capacity,
-            lru: Mutex::new(Lru::default()),
+            lru: Locked::default(),
             evictions: AtomicU64::new(0),
         }
     }
@@ -125,12 +124,7 @@ impl ResultCache {
     /// A memory-only cache (no persistence) — used by tests and by
     /// `--cache-dir none`.
     pub fn in_memory(capacity: usize) -> Self {
-        ResultCache {
-            dir: None,
-            capacity,
-            lru: Mutex::new(Lru::default()),
-            evictions: AtomicU64::new(0),
-        }
+        ResultCache { dir: None, capacity, lru: Locked::default(), evictions: AtomicU64::new(0) }
     }
 
     /// The on-disk location of this model's entries, if persistence is
@@ -143,7 +137,7 @@ impl ResultCache {
     /// a disk hit. Returns the payload and the tier that served it; a
     /// disk hit is promoted into the memory LRU.
     pub fn get(&self, hash: &str, canonical: &str) -> Option<(String, Tier)> {
-        if let Some(body) = lock(&self.lru).get(hash) {
+        if let Some(body) = self.lru.with(|lru| lru.get(hash)) {
             return Some((body, Tier::Memory));
         }
         let dir = self.dir.as_ref()?;
@@ -166,7 +160,7 @@ impl ResultCache {
             #[cfg(not(feature = "sanitize"))]
             return None;
         }
-        let evicted = lock(&self.lru).put(hash, &body, self.capacity);
+        let evicted = self.lru.with(|lru| lru.put(hash, &body, self.capacity));
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         Some((body, Tier::Disk))
     }
@@ -176,7 +170,7 @@ impl ResultCache {
     /// are reported to the caller but the memory tier is always updated —
     /// a full disk degrades persistence, not serving.
     pub fn put(&self, hash: &str, canonical: &str, body: &str) -> io::Result<()> {
-        let evicted = lock(&self.lru).put(hash, body, self.capacity);
+        let evicted = self.lru.with(|lru| lru.put(hash, body, self.capacity));
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         let Some(dir) = self.dir.as_ref() else {
             return Ok(());
@@ -188,7 +182,7 @@ impl ResultCache {
 
     /// Number of entries currently resident in the memory tier.
     pub fn memory_len(&self) -> usize {
-        lock(&self.lru).entries.len()
+        self.lru.with(|lru| lru.entries.len())
     }
 
     /// Total memory-tier entries evicted since creation (inserts and disk

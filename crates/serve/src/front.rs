@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,10 +44,10 @@ use hbc_probe::Stage;
 
 use crate::http::{self, HttpError};
 use crate::json::Json;
-use crate::lock;
 use crate::metrics::Metrics;
 use crate::spans::ServeSpans;
 use crate::spec::{ExperimentId, Preset};
+use crate::Locked;
 
 /// What sits behind the front end: it answers `POST /run`, renders
 /// `GET /metrics`, and may claim endpoints of its own.
@@ -113,8 +113,7 @@ struct Shared<B> {
     backend: B,
     metrics: Arc<Metrics>,
     spans: Arc<ServeSpans>,
-    queue: Mutex<VecDeque<QueuedConn>>,
-    queue_cv: Condvar,
+    queue: Locked<VecDeque<QueuedConn>>,
     queue_capacity: usize,
     /// Draining: handlers finish the queue, the acceptor answers `503`.
     draining: AtomicBool,
@@ -158,8 +157,7 @@ impl<B: Backend> Front<B> {
             backend,
             metrics,
             spans,
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+            queue: Locked::default(),
             queue_capacity: config.queue_capacity,
             draining: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
@@ -205,7 +203,7 @@ impl<B: Backend> Front<B> {
         let _ = self.acceptor.join();
         // No handlers configured, or a push that raced the last handler's
         // exit: answer with an orderly refusal.
-        let leftovers: Vec<QueuedConn> = lock(&self.shared.queue).drain(..).collect();
+        let leftovers = self.shared.queue.with(std::mem::take);
         for conn in leftovers {
             self.shared.metrics.queue_pop();
             self.shared.metrics.responses_unavailable.inc();
@@ -241,10 +239,7 @@ fn initiate_drain<B: Backend>(shared: &Shared<B>) {
     if shared.draining.swap(true, Ordering::SeqCst) {
         return;
     }
-    // Taken so a handler between its drain check and its wait cannot miss
-    // the wakeup.
-    drop(lock(&shared.queue));
-    shared.queue_cv.notify_all();
+    shared.queue.notify_all();
     shared.backend.on_drain();
 }
 
@@ -260,20 +255,26 @@ fn accept_loop<B: Backend>(shared: &Shared<B>, listener: &TcpListener) {
             continue;
         }
         let accept_start_us = shared.spans.now_us();
-        let mut queue = lock(&shared.queue);
-        if queue.len() >= shared.queue_capacity {
-            drop(queue);
-            shared.metrics.responses_rejected.inc();
-            respond_without_reading(stream, 429, "admission queue is full, retry later");
-            continue;
-        }
-        let request_id = shared.spans.begin_request();
-        let queued_us = shared.spans.now_us();
-        queue.push_back(QueuedConn { stream, accepted: Instant::now(), request_id, queued_us });
-        shared.metrics.queue_push();
-        drop(queue);
+        let queued = shared.queue.with(|queue| {
+            if queue.len() >= shared.queue_capacity {
+                return Err(stream);
+            }
+            let request_id = shared.spans.begin_request();
+            let queued_us = shared.spans.now_us();
+            queue.push_back(QueuedConn { stream, accepted: Instant::now(), request_id, queued_us });
+            shared.metrics.queue_push();
+            Ok((request_id, queued_us))
+        });
+        let (request_id, queued_us) = match queued {
+            Ok(ids) => ids,
+            Err(stream) => {
+                shared.metrics.responses_rejected.inc();
+                respond_without_reading(stream, 429, "admission queue is full, retry later");
+                continue;
+            }
+        };
         shared.spans.record_at(Stage::ServeAccept, request_id, 0, accept_start_us, queued_us);
-        shared.queue_cv.notify_one();
+        shared.queue.notify_one();
     }
 }
 
@@ -293,17 +294,10 @@ fn respond_without_reading(mut stream: TcpStream, status: u16, message: &str) {
 }
 
 fn handler_loop<B: Backend>(shared: &Shared<B>) {
-    loop {
-        let idle = |queue: &mut VecDeque<QueuedConn>| {
-            queue.is_empty() && !shared.draining.load(Ordering::SeqCst)
-        };
-        let mut queue = match shared.queue_cv.wait_while(lock(&shared.queue), idle) {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // Empty only once draining: the handler's work is done.
-        let Some(conn) = queue.pop_front() else { return };
-        drop(queue);
+    let ready =
+        |queue: &VecDeque<QueuedConn>| !queue.is_empty() || shared.draining.load(Ordering::SeqCst);
+    // Empty only once draining: the handler's work is done.
+    while let Some(conn) = shared.queue.wait_until(None, ready, |queue, _| queue.pop_front()) {
         shared.metrics.queue_pop();
         handle_conn(shared, conn);
     }
@@ -368,6 +362,7 @@ impl<B: Backend> Responder<'_, B> {
         let write_start_us = spans.now_us();
         spans.record_at(Stage::ServeSerialize, id, 0, serialize_start_us, write_start_us);
         use std::io::Write as _;
+        debug_assert!(!Locked::held(), "socket I/O inside a critical section");
         let _ = self.stream.write_all(&bytes).and_then(|()| self.stream.flush());
         spans.record_at(Stage::ServeWrite, id, 0, write_start_us, spans.now_us());
         let micros = u64::try_from(self.accepted.elapsed().as_micros()).unwrap_or(u64::MAX);

@@ -15,6 +15,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use crate::Locked;
+
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Maximum request body bytes (specs are tiny; anything bigger is abuse).
@@ -65,6 +67,7 @@ impl From<io::Error> for HttpError {
 
 /// Reads one request (head + `Content-Length` body) from `stream`.
 pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
+    debug_assert!(!Locked::held(), "socket I/O inside a critical section");
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
     // Byte-at-a-time until CRLFCRLF: requests are tiny and arrive in one
@@ -174,6 +177,7 @@ pub fn write_response(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
+    debug_assert!(!Locked::held(), "socket I/O inside a critical section");
     stream.write_all(&render_response(status, content_type, extra_headers, body))?;
     stream.flush()
 }

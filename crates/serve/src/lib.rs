@@ -25,6 +25,8 @@
 //!   `hbc-probe` registry JSON at `GET /metrics.json`);
 //! * [`spans`] — request-scoped span tracing across the whole request
 //!   lifecycle, exported as JSON lines at `GET /trace`;
+//! * [`Locked`] — the closure-scoped lock every piece of shared state
+//!   goes through, so no guard is ever held across socket I/O;
 //! * [`client`] — the reusable blocking HTTP client (separate connect and
 //!   I/O timeouts, typed [`client::ClientError`]) shared by the `hbc-load`
 //!   generator, the `hbc-cluster` coordinator tooling, and the end-to-end
@@ -54,24 +56,10 @@ pub mod front;
 pub mod hash;
 pub mod http;
 pub mod json;
+mod locked;
 pub mod metrics;
 pub mod server;
 pub mod spans;
 pub mod spec;
 
-use std::sync::{Mutex, MutexGuard};
-
-/// Locks a mutex, recovering the guard if a previous holder panicked.
-///
-/// The service must not let one poisoned lock wedge every later request:
-/// all shared state guarded with it (cache LRU, metrics histogram,
-/// admission queue, in-flight tables, and in `hbc-cluster` the worker
-/// windows and connection registry) stays internally consistent under
-/// panic because each critical section completes its writes before
-/// leaving, so continuing with the inner value is sound.
-pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+pub use locked::Locked;

@@ -30,11 +30,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use hbc_probe::{Histogram, HistogramProbe, Probe, ProbeRegistry, Stage};
 
-use crate::lock;
+use crate::Locked;
 
 /// A monotonically increasing atomic counter (relaxed ordering: the
 /// metrics are statistics, not synchronization).
@@ -90,7 +89,7 @@ pub struct Metrics {
     pub queue_peak: AtomicU64,
     /// End-to-end request latency in microseconds (accept to response
     /// written), including queueing.
-    pub latency_micros: Mutex<Histogram>,
+    pub latency_micros: Locked<Histogram>,
 }
 
 impl Metrics {
@@ -107,7 +106,7 @@ impl Metrics {
 
     /// Records one served request's end-to-end latency.
     pub fn record_latency(&self, micros: u64) {
-        lock(&self.latency_micros).record(micros);
+        self.latency_micros.with(|h| h.record(micros));
     }
 
     /// Snapshots every counter into a fresh [`ProbeRegistry`] (sorted,
@@ -129,7 +128,10 @@ impl Metrics {
         reg.set(Probe::ServeExecRuns, self.exec_runs.get());
         reg.set(Probe::ServeQueueDepth, self.queue_depth.load(Ordering::Relaxed));
         reg.set(Probe::ServeQueuePeak, self.queue_peak.load(Ordering::Relaxed));
-        reg.set_histogram(HistogramProbe::ServeLatencyMicros, lock(&self.latency_micros).clone());
+        reg.set_histogram(
+            HistogramProbe::ServeLatencyMicros,
+            self.latency_micros.with(|h| h.clone()),
+        );
         reg
     }
 
@@ -205,7 +207,12 @@ impl Metrics {
             "summary",
             "End-to-end request latency (accept to response written), including queueing.",
         );
-        summary(&mut out, "serve_latency_microseconds", "", &lock(&self.latency_micros).clone());
+        summary(
+            &mut out,
+            "serve_latency_microseconds",
+            "",
+            &self.latency_micros.with(|h| h.clone()),
+        );
 
         write_stages(
             &mut out,

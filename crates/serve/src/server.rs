@@ -24,17 +24,17 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hbc_probe::{Probe, Stage};
 
 use crate::cache::{ResultCache, Tier};
 use crate::front::{Backend, Front, FrontConfig, FrontHandle, Responder};
-use crate::lock;
 use crate::metrics::Metrics;
 use crate::spans::ServeSpans;
 use crate::spec::RunRequest;
+use crate::Locked;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -85,41 +85,23 @@ enum FlightState {
 
 /// A single-flight slot: the leader executes, followers wait here.
 #[derive(Debug)]
-struct Flight {
-    state: Mutex<FlightState>,
-    cv: Condvar,
-}
+struct Flight(Locked<FlightState>);
 
 impl Flight {
     fn new() -> Self {
-        Flight { state: Mutex::new(FlightState::Running), cv: Condvar::new() }
+        Flight(Locked::new(FlightState::Running))
     }
 
     fn finish(&self, state: FlightState) {
-        *lock(&self.state) = state;
-        self.cv.notify_all();
+        self.0.with(|s| *s = state);
+        self.0.notify_all();
     }
 
     /// Waits until the flight lands, or until `deadline` if there is one;
     /// `Running` means the deadline passed first.
     fn wait(&self, deadline: Option<Instant>) -> FlightState {
-        let mut state = lock(&self.state);
-        while matches!(*state, FlightState::Running) {
-            state = match deadline {
-                None => self.cv.wait(state).unwrap_or_else(PoisonError::into_inner),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    match self.cv.wait_timeout(state, deadline - now) {
-                        Ok((guard, _)) => guard,
-                        Err(poisoned) => poisoned.into_inner().0,
-                    }
-                }
-            };
-        }
-        state.clone()
+        let landed = |s: &FlightState| !matches!(s, FlightState::Running);
+        self.0.wait_until(deadline, landed, |s, _| s.clone())
     }
 }
 
@@ -146,7 +128,7 @@ struct Local {
     cache: ResultCache,
     metrics: Arc<Metrics>,
     spans: Arc<ServeSpans>,
-    in_flight: Mutex<BTreeMap<String, Arc<Flight>>>,
+    in_flight: Locked<BTreeMap<String, Arc<Flight>>>,
     /// Names the process in panic messages (`see {role} logs`).
     role: String,
 }
@@ -155,7 +137,7 @@ impl LocalBackend {
     /// A backend over `cache` that clamps `jobs` to `max_jobs` and traces
     /// into `spans`. `role` names the process in error messages.
     pub fn new(cache: ResultCache, max_jobs: usize, spans: Arc<ServeSpans>, role: &str) -> Self {
-        let (metrics, in_flight) = (Arc::default(), Mutex::default());
+        let (metrics, in_flight) = (Arc::default(), Locked::default());
         let role = role.to_string();
         LocalBackend { inner: Arc::new(Local { max_jobs, cache, metrics, spans, in_flight, role }) }
     }
@@ -205,17 +187,14 @@ impl LocalBackend {
 
         // Single-flight: the first requester for this hash leads and
         // executes; concurrent identical requests wait on the same flight.
-        let (flight, leader) = {
-            let mut in_flight = lock(&local.in_flight);
-            match in_flight.get(&spec_hash) {
-                Some(flight) => (Arc::clone(flight), false),
-                None => {
-                    let flight = Arc::new(Flight::new());
-                    in_flight.insert(spec_hash.clone(), Arc::clone(&flight));
-                    (flight, true)
-                }
+        let (flight, leader) = local.in_flight.with(|in_flight| match in_flight.get(&spec_hash) {
+            Some(flight) => (Arc::clone(flight), false),
+            None => {
+                let flight = Arc::new(Flight::new());
+                in_flight.insert(spec_hash.clone(), Arc::clone(&flight));
+                (flight, true)
             }
-        };
+        });
         if leader {
             local.metrics.cache_misses.inc();
             let key = (spec_hash.clone(), canonical);
@@ -279,7 +258,7 @@ impl LocalBackend {
                     local.role
                 )),
             };
-            lock(&local.in_flight).remove(&hash);
+            local.in_flight.with(|in_flight| in_flight.remove(&hash));
             flight.finish(state);
         };
         if deadline.is_none() {
@@ -287,7 +266,7 @@ impl LocalBackend {
         }
         let runner = std::thread::Builder::new().name("hbc-serve-runner".to_string());
         if let Err(e) = runner.spawn(simulate) {
-            lock(&self.inner.in_flight).remove(&hash);
+            self.inner.in_flight.with(|in_flight| in_flight.remove(&hash));
             flight.finish(FlightState::Failed(format!("cannot spawn runner thread: {e}")));
         }
     }

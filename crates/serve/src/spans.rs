@@ -30,12 +30,11 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use hbc_probe::{Histogram, SpanLog, SpanRecord, Stage};
 
-use crate::lock;
+use crate::Locked;
 
 /// The server's span sink: a bounded ring of recent [`SpanRecord`]s plus
 /// per-stage duration histograms, stamped from one process-local
@@ -45,7 +44,7 @@ use crate::lock;
 pub struct ServeSpans {
     log: SpanLog,
     origin: Instant,
-    stages: Mutex<BTreeMap<Stage, Histogram>>,
+    stages: Locked<BTreeMap<Stage, Histogram>>,
 }
 
 impl ServeSpans {
@@ -62,7 +61,7 @@ impl ServeSpans {
         ServeSpans {
             log: SpanLog::with_id_base(capacity, base),
             origin: Instant::now(),
-            stages: Mutex::new(BTreeMap::new()),
+            stages: Locked::default(),
         }
     }
 
@@ -115,7 +114,7 @@ impl ServeSpans {
     ) {
         let dur_us = end_us.saturating_sub(start_us);
         self.log.record(SpanRecord { request, span, parent, stage, start_us, dur_us });
-        lock(&self.stages).entry(stage).or_default().record(dur_us);
+        self.stages.with(|stages| stages.entry(stage).or_default().record(dur_us));
     }
 
     /// The retained span window as JSON lines, oldest first (the
@@ -127,7 +126,7 @@ impl ServeSpans {
     /// A snapshot of the per-stage duration histograms, ordered by stage
     /// name.
     pub fn stage_histograms(&self) -> BTreeMap<Stage, Histogram> {
-        lock(&self.stages).clone()
+        self.stages.with(|stages| stages.clone())
     }
 
     /// The underlying log (tests and drop accounting).

@@ -271,7 +271,7 @@ fn metrics_is_valid_prometheus_and_metrics_json_keeps_the_registry() {
     // recorded just after the client has its reply: wait for both counts.
     let metrics = server.handle().metrics();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while hbc_serve::lock(&metrics.latency_micros).count() < 2 {
+    while metrics.latency_micros.with(|h| h.count()) < 2 {
         assert!(Instant::now() < deadline, "both request latencies are recorded");
         std::thread::yield_now();
     }

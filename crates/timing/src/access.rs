@@ -94,8 +94,8 @@ pub struct Fig1Row {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessTimeModel {
-    /// (log2 bytes, single-ported FO4, 8-way banked FO4), ascending.
-    points: Vec<(u32, f64, f64)>,
+    /// (log2 bytes, single-ported, 8-way banked), ascending.
+    points: Vec<(u32, Fo4, Fo4)>,
 }
 
 impl AccessTimeModel {
@@ -120,7 +120,7 @@ impl AccessTimeModel {
                 banked.get() >= single.get() - 1e-9,
                 "banked access time below single-ported at {size}"
             );
-            table.push((log, single.get(), banked.get()));
+            table.push((log, *single, *banked));
             prev_log = log;
         }
         AccessTimeModel { points: table }
@@ -142,6 +142,10 @@ impl AccessTimeModel {
     ///
     /// Returns [`SizeOutOfRangeError`] if `size` lies outside the modeled
     /// range (4 KB..=1 MB for the default model).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "interpolation runs in raw log2(bytes) space between FO4 control points"
+    )]
     pub fn access_time(
         &self,
         size: CacheSize,
@@ -153,9 +157,9 @@ impl AccessTimeModel {
         if x < f64::from(first.0) - 1e-9 || x > f64::from(last.0) + 1e-9 {
             return Err(SizeOutOfRangeError { size });
         }
-        let column = |p: &(u32, f64, f64)| match ports {
-            PortStructure::SinglePorted | PortStructure::Duplicate => p.1,
-            PortStructure::Banked8 => p.2,
+        let column = |p: &(u32, Fo4, Fo4)| match ports {
+            PortStructure::SinglePorted | PortStructure::Duplicate => p.1.get(),
+            PortStructure::Banked8 => p.2.get(),
         };
         for pair in self.points.windows(2) {
             let (lo, hi) = (&pair[0], &pair[1]);

@@ -18,7 +18,6 @@
 //! Delays here are in *relative units* by design — the model compares
 //! organizations against each other and is calibrated to FO4 only through
 //! [`CactiModel::calibrate_fo4`], so its public surface is raw `f64`.
-// hbc-allow-file: units (relative-delay model; FO4 enters via calibrate_fo4)
 //!
 //! # Example
 //!
@@ -32,6 +31,11 @@
 //! // Externally banking a 4 KB cache eight ways costs delay.
 //! assert!(banked > single);
 //! ```
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "relative delay units by design; FO4 enters only through `calibrate_fo4`"
+)]
 
 use crate::CacheSize;
 

@@ -1,5 +1,10 @@
 //! Technology-independent delay units.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the newtype boundary: `Fo4` and `Nanoseconds` wrap and unwrap the raw `f64`, and whole cycle counts are the simulator's native `u64`"
+)]
+
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -157,7 +162,6 @@ impl Nanoseconds {
         clippy::cast_possible_truncation,
         reason = "a float-to-int `as` saturates; the ratio is positive"
     )]
-    // hbc-allow: units (whole cycle counts are the simulator's native u64)
     pub fn to_cycles(self, cycle: Nanoseconds) -> u64 {
         assert!(cycle.0 > 0.0, "cycle time must be positive");
         (self.0 / cycle.0).ceil() as u64

@@ -35,6 +35,10 @@ pub fn cycles_needed(access: Fo4, cycle: Fo4, tech: &Technology, max_depth: u32)
 
 /// `true` if a cache with access time `access` can be pipelined into a
 /// `depth`-cycle hit at cycle time `cycle`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a pipeline depth scales an FO4 delay as a bare factor"
+)]
 pub fn fits(access: Fo4, cycle: Fo4, tech: &Technology, depth: u32) -> bool {
     assert!(depth >= 1, "pipeline depth must be at least one");
     let latches = tech.latch_overhead() * f64::from(depth - 1);
@@ -103,7 +107,7 @@ mod tests {
     #[test]
     fn max_cache_matches_conclusions() {
         let (model, tech) = setup();
-        let max = |cycle: f64, depth| {
+        let max = |cycle, depth| {
             max_cache_size(&model, PortStructure::Duplicate, Fo4::new(cycle), &tech, depth)
         };
         // 29 FO4 -> 64 KB one-cycle cache.

@@ -1,5 +1,10 @@
 //! Cache capacity newtype.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the newtype boundary: `CacheSize` wraps and unwraps the raw `u64` byte count"
+)]
+
 use std::fmt;
 
 /// A cache capacity in bytes.
@@ -43,13 +48,11 @@ impl CacheSize {
     }
 
     /// Capacity in bytes.
-    // hbc-allow: units (raw accessor at the newtype boundary, like `get`)
     pub fn bytes(self) -> u64 {
         self.0
     }
 
     /// Capacity in kibibytes, rounded down.
-    // hbc-allow: units (raw accessor at the newtype boundary, like `get`)
     pub fn kib(self) -> u64 {
         self.0 / 1024
     }

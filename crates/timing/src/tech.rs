@@ -1,5 +1,10 @@
 //! Process-technology parameters.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the newtype boundary: a feature size in micrometres and the FO4 duration in nanoseconds are the raw `f64`s every unit conversion starts from"
+)]
+
 use crate::Fo4;
 
 /// Parameters of the modeled process technology.
@@ -46,13 +51,11 @@ impl Technology {
     }
 
     /// Drawn feature size in micrometres.
-    // hbc-allow: units (raw accessor at the newtype boundary, like `get`)
     pub fn feature_um(&self) -> f64 {
         self.feature_um
     }
 
     /// Duration of one FO4 delay in nanoseconds.
-    // hbc-allow: units (raw accessor at the newtype boundary, like `get`)
     pub fn fo4_ns(&self) -> f64 {
         self.fo4_ns
     }
