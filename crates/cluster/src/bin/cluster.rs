@@ -3,7 +3,7 @@
 //! ```text
 //! hbc-cluster worker      [--addr HOST:PORT] [--max-jobs N]
 //!                         [--cache-dir PATH|none] [--cache-entries N]
-//!                         [--span-capacity N] [--idle-timeout-ms N]
+//!                         [--span-capacity N]
 //! hbc-cluster coordinator --worker HOST:PORT [--worker HOST:PORT …]
 //!                         [--addr HOST:PORT] [--handlers N] [--queue N]
 //!                         [--timeout-ms N] [--wire-timeout-ms N]
@@ -14,18 +14,19 @@
 //! hbc-cluster drain       --addr HOST:PORT
 //! ```
 //!
-//! `worker` serves the binary wire protocol and embeds the full
-//! `hbc-serve` result stack (one cache shard per worker — point each
-//! worker at its own `--cache-dir`). `coordinator` speaks the `hbc-serve`
+//! `worker` is an `hbc-serve` server (one cache shard per worker — point
+//! each worker at its own `--cache-dir`). `coordinator` speaks the same
 //! HTTP API and routes to workers by rendezvous hashing with failover.
-//! `health`, `stats`, and `drain` are one-shot wire clients for scripts
-//! and CI.
+//! `health` (`GET /healthz`), `stats` (the counters of
+//! `GET /metrics.json`) and `drain` (`POST /shutdown`) are one-shot HTTP
+//! clients for scripts and CI.
 
 use std::time::Duration;
 
 use hbc_cluster::coordinator::{Coordinator, CoordinatorConfig};
-use hbc_cluster::wire::{self, Msg};
-use hbc_cluster::worker::{Worker, WorkerConfig};
+use hbc_serve::client::{parse_addr, HttpClient};
+use hbc_serve::json::Json;
+use hbc_serve::server::{Server, ServerConfig};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -34,15 +35,15 @@ fn main() {
     match command.as_str() {
         "worker" => run_worker(&rest),
         "coordinator" => run_coordinator(&rest),
-        "health" => wire_op(&rest, "health"),
-        "stats" => wire_op(&rest, "stats"),
-        "drain" => wire_op(&rest, "drain"),
+        "health" => worker_op(&rest, "health"),
+        "stats" => worker_op(&rest, "stats"),
+        "drain" => worker_op(&rest, "drain"),
         other => usage(&format!("unknown subcommand `{other}`")),
     }
 }
 
 fn run_worker(args: &[String]) {
-    let mut config = WorkerConfig::default();
+    let mut config = ServerConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| -> String {
@@ -62,14 +63,10 @@ fn run_worker(args: &[String]) {
             "--span-capacity" => {
                 config.span_capacity = parse(&value("--span-capacity"), "--span-capacity");
             }
-            "--idle-timeout-ms" => {
-                config.idle_timeout =
-                    Duration::from_millis(parse(&value("--idle-timeout-ms"), "--idle-timeout-ms"));
-            }
             other => usage(&format!("unknown flag `{other}` for worker")),
         }
     }
-    let worker = match Worker::bind(config) {
+    let worker = match Server::bind(config) {
         Ok(worker) => worker,
         Err(e) => fail(&format!("cannot start worker: {e}")),
     };
@@ -128,10 +125,10 @@ fn run_coordinator(args: &[String]) {
     println!("hbc-cluster coordinator: drained and stopped");
 }
 
-/// `health` / `stats` / `drain`: one wire frame to one worker, result on
-/// standard output, nonzero exit if the worker is unreachable or answers
-/// the wrong kind.
-fn wire_op(args: &[String], op: &str) {
+/// `health` / `stats` / `drain`: one HTTP request to one worker, result
+/// on standard output, nonzero exit if the worker is unreachable,
+/// draining, or answers something else.
+fn worker_op(args: &[String], op: &str) {
     let mut addr = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -141,27 +138,33 @@ fn wire_op(args: &[String], op: &str) {
         }
     }
     let Some(addr) = addr else { usage(&format!("{op} needs --addr HOST:PORT")) };
-    let msg = match op {
-        "health" => Msg::Health,
-        "stats" => Msg::Stats,
-        _ => Msg::Drain,
-    };
-    let reply = wire::exchange(&addr, &msg, Duration::from_secs(5))
-        .unwrap_or_else(|e| fail(&format!("{op} against {addr} failed: {e}")));
-    match reply {
-        Msg::HealthOk { worker_id, draining } => {
-            println!("worker {worker_id}: {}", if draining { "draining" } else { "healthy" });
-            if draining {
-                std::process::exit(1);
+    let sock = parse_addr(&addr).unwrap_or_else(|e| usage(&e));
+    let client = HttpClient::new(Duration::from_secs(5));
+    let reply = match op {
+        "health" => client.get(sock, "/healthz"),
+        "stats" => client.get(sock, "/metrics.json"),
+        _ => client.post(sock, "/shutdown", b""),
+    }
+    .unwrap_or_else(|e| fail(&format!("{op} against {addr} failed: {e}")));
+    match (op, reply.status) {
+        ("health", 200) => println!("worker {addr}: healthy"),
+        ("health", 503) => {
+            println!("worker {addr}: draining");
+            std::process::exit(1);
+        }
+        ("stats", 200) => {
+            let counters = Json::parse(&reply.text())
+                .ok()
+                .and_then(|registry| Some(registry.as_obj()?.get("counters")?.as_obj()?.clone()));
+            let Some(counters) = counters else {
+                fail(&format!("stats against {addr}: no counters"))
+            };
+            for (name, value) in counters {
+                println!("{name} {}", value.render());
             }
         }
-        Msg::StatsOk { pairs } => {
-            for (name, value) in pairs {
-                println!("{name} {value}");
-            }
-        }
-        Msg::DrainOk { worker_id } => println!("worker {worker_id}: draining"),
-        other => fail(&format!("{op} against {addr}: unexpected reply {other:?}")),
+        ("drain", 200) => println!("worker {addr}: draining"),
+        (_, status) => fail(&format!("{op} against {addr}: status {status}: {}", reply.text())),
     }
 }
 
@@ -173,7 +176,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: hbc-cluster worker [--addr HOST:PORT] [--max-jobs N] [--cache-dir PATH|none] \
-         [--cache-entries N] [--span-capacity N] [--idle-timeout-ms N]\n\
+         [--cache-entries N] [--span-capacity N]\n\
          \x20      hbc-cluster coordinator --worker HOST:PORT [--worker HOST:PORT ...] \
          [--addr HOST:PORT] [--handlers N] [--queue N] [--timeout-ms N] [--wire-timeout-ms N] \
          [--window N] [--probe-interval-ms N] [--span-capacity N]\n\

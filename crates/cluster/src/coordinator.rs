@@ -1,11 +1,11 @@
 //! The cluster coordinator: the `hbc-serve` HTTP front end
-//! ([`hbc_serve::front`]) over a remote backend that fans out to worker
-//! processes over the binary wire protocol.
+//! ([`hbc_serve::front`]) over a remote backend that forwards to worker
+//! processes, each an `hbc-serve` server, over the same HTTP.
 //!
 //! ```text
 //!            front end (accept, queue, handlers)      remote backend
-//!  clients ───────────────────────────────────▶ POST /run ── route ──▶ worker (wire)
-//!                                                              │ transport failure
+//!  clients ───────────────────────────────────▶ POST /run ── route ──▶ worker POST /run
+//!                                                              │ failure or refusal
 //!                                                              ▼
 //!                                                  mark unhealthy, failover
 //!                                                  to the next candidate
@@ -17,15 +17,24 @@
 //! forward opens a one-shot connection (no pooling: nothing idles on a
 //! draining worker), bounded by a per-worker in-flight window.
 //!
+//! A forward is `POST /run?trace=REQUEST.SPAN`: the worker records its
+//! spans under the coordinator's request ID, parented on the forward
+//! span, and `GET /trace?federated=1` merges every ring into one tree per
+//! request. The prober sends `GET /healthz`, `GET /cluster` reads each
+//! worker's `GET /metrics.json`, and `hbc-cluster drain` is a worker's
+//! `POST /shutdown`.
+//!
 //! Failure policy, in one place:
 //!
-//! * **Transport failure** (connect refused, timeout, severed mid-frame)
-//!   marks the worker unhealthy and fails over to the next rendezvous
-//!   candidate. The background prober revives workers that answer
-//!   `Health` again.
-//! * **Worker-reported errors** (`RunErr`, e.g. a malformed spec or a
-//!   simulation panic) are forwarded verbatim and never retried: the
-//!   stack is deterministic, so a second worker would fail identically.
+//! * **Failed forward** — a connect, read or parse failure, a `429`
+//!   (queue full) or `503` (draining), or a `200` whose `X-Spec-Hash`
+//!   differs from the coordinator's own hash of the spec — marks the
+//!   worker unhealthy and fails over to the next rendezvous candidate.
+//!   The background prober revives workers that answer `/healthz` again.
+//! * **Worker-reported errors** (`400` malformed spec, `500` simulation
+//!   panic, `504` worker deadline) are forwarded verbatim, status and
+//!   JSON body, and never retried: the stack is deterministic, so a
+//!   second worker would fail identically.
 //! * **Exhausted candidates** answer `502`; a blown deadline answers
 //!   `504`, mirroring `hbc-serve`.
 //!
@@ -44,6 +53,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hbc_probe::{Histogram, Stage};
+use hbc_serve::client::{parse_addr, HttpClient};
 use hbc_serve::front::{Backend, Front, FrontConfig, FrontHandle, Responder};
 use hbc_serve::json::Json;
 use hbc_serve::metrics::{family, summary, write_stages, AtomicCounter, Metrics};
@@ -52,7 +62,6 @@ use hbc_serve::spec::RunRequest;
 use hbc_serve::Locked;
 
 use crate::ring;
-use crate::wire::{self, Msg, TraceCtx};
 
 /// Coordinator construction parameters.
 #[derive(Debug, Clone)]
@@ -99,7 +108,11 @@ impl Default for CoordinatorConfig {
 /// Coordinator-side view of one worker: health, the in-flight window,
 /// and per-shard counters.
 struct Target {
+    /// The address as configured: the worker's name in metrics, headers
+    /// and the federated trace.
     addr: String,
+    /// The address it resolved to at bind.
+    sock: SocketAddr,
     healthy: AtomicBool,
     /// Requests forwarded and not yet answered, bounded by the window.
     in_flight: Locked<usize>,
@@ -112,9 +125,10 @@ struct Target {
 }
 
 impl Target {
-    fn new(addr: String) -> Self {
+    fn new(addr: String, sock: SocketAddr) -> Self {
         Target {
             addr,
+            sock,
             healthy: AtomicBool::new(true),
             in_flight: Locked::new(0),
             forwarded: AtomicCounter::default(),
@@ -168,16 +182,29 @@ struct RemoteBackend {
 }
 
 impl RemoteBackend {
-    fn new(config: &CoordinatorConfig) -> Self {
-        RemoteBackend {
-            targets: config.workers.iter().cloned().map(Target::new).collect(),
+    /// Fails on a worker address that does not resolve.
+    fn new(config: &CoordinatorConfig) -> io::Result<Self> {
+        let mut targets = Vec::with_capacity(config.workers.len());
+        for addr in &config.workers {
+            let sock =
+                parse_addr(addr).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+            targets.push(Target::new(addr.clone(), sock));
+        }
+        Ok(RemoteBackend {
+            targets,
             worker_names: config.workers.clone(),
             window: config.window.max(1),
             wire_timeout: config.wire_timeout,
             probe_interval: config.probe_interval,
             metrics: ClusterMetrics::default(),
             probe_wake: Locked::new(()),
-        }
+        })
+    }
+
+    /// A client whose connect and I/O budgets are the wire timeout, capped
+    /// at `cap`.
+    fn client(&self, cap: Duration) -> HttpClient {
+        HttpClient::new(self.wire_timeout.min(cap))
     }
 }
 
@@ -198,7 +225,8 @@ pub struct CoordinatorHandle {
 
 impl Coordinator {
     /// Binds the listener and spawns the acceptor, handler pool, and
-    /// health prober. Fails fast on an empty worker list.
+    /// health prober. Fails fast on an empty worker list or a worker
+    /// address that does not resolve.
     pub fn bind(config: CoordinatorConfig) -> io::Result<Coordinator> {
         if config.workers.is_empty() {
             return Err(io::Error::new(
@@ -206,15 +234,14 @@ impl Coordinator {
                 "a coordinator needs at least one worker address",
             ));
         }
-        let backend = RemoteBackend::new(&config);
+        let backend = RemoteBackend::new(&config)?;
         let front = FrontConfig {
             addr: config.addr,
             handlers: config.handlers,
             queue_capacity: config.queue_capacity,
             request_timeout: config.request_timeout,
         };
-        let spans = Arc::new(ServeSpans::new(config.span_capacity));
-        let front = Front::start(front, backend, Arc::default(), spans)?;
+        let front = Front::start(front, config.span_capacity, |_, _| backend)?;
         let prober = {
             let handle = front.handle();
             std::thread::Builder::new()
@@ -274,21 +301,18 @@ impl CoordinatorHandle {
     }
 }
 
-/// Background health prober: one `Health` frame per worker per period.
-/// A worker that answers (and is not itself draining) is revived; one
-/// that refuses or stalls is demoted.
+/// Background health prober: one `GET /healthz` per worker per period.
+/// A worker that answers `200` is revived; one that refuses, stalls or
+/// answers `503` (draining) is demoted.
 fn probe_loop(handle: &FrontHandle<RemoteBackend>) {
     let backend = handle.backend();
-    let timeout = backend.wire_timeout.min(Duration::from_secs(2));
+    let client = backend.client(Duration::from_secs(2));
     loop {
         if handle.is_draining() {
             return;
         }
         for target in &backend.targets {
-            let alive = matches!(
-                wire::exchange(&target.addr, &Msg::Health, timeout),
-                Ok(Msg::HealthOk { draining: false, .. })
-            );
+            let alive = client.get(target.sock, "/healthz").is_ok_and(|r| r.status == 200);
             target.healthy.store(alive, Ordering::SeqCst);
         }
         let wake = Instant::now().checked_add(backend.probe_interval);
@@ -336,10 +360,10 @@ impl Backend for RemoteBackend {
     }
 }
 
-/// `GET /cluster`: topology and live per-worker stats (best-effort wire
-/// `Stats` probes with a short budget).
+/// `GET /cluster`: topology and live per-worker stats (the counters of
+/// each worker's `GET /metrics.json`, best effort with a short budget).
 fn cluster_body(backend: &RemoteBackend, draining: bool) -> String {
-    let stats_budget = backend.wire_timeout.min(Duration::from_secs(2));
+    let client = backend.client(Duration::from_secs(2));
     let mut workers = Vec::new();
     for target in &backend.targets {
         let mut obj = BTreeMap::new();
@@ -347,13 +371,11 @@ fn cluster_body(backend: &RemoteBackend, draining: bool) -> String {
         obj.insert("healthy".to_string(), Json::Bool(target.healthy.load(Ordering::SeqCst)));
         obj.insert("forwarded".to_string(), Json::U64(target.forwarded.get()));
         obj.insert("failures".to_string(), Json::U64(target.failures.get()));
-        if let Ok(Msg::StatsOk { pairs }) = wire::exchange(&target.addr, &Msg::Stats, stats_budget)
-        {
-            let mut stats = BTreeMap::new();
-            for (name, value) in pairs {
-                stats.insert(name, Json::U64(value));
+        let registry = client.get(target.sock, "/metrics.json").ok().filter(|r| r.status == 200);
+        if let Some(Json::Obj(mut registry)) = registry.and_then(|r| Json::parse(&r.text()).ok()) {
+            if let Some(counters) = registry.remove("counters") {
+                obj.insert("stats".to_string(), counters);
             }
-            obj.insert("stats".to_string(), Json::Obj(stats));
         }
         workers.push(Json::Obj(obj));
     }
@@ -365,23 +387,26 @@ fn cluster_body(backend: &RemoteBackend, draining: bool) -> String {
 }
 
 /// `GET /trace?federated=1`: the coordinator's own span ring plus every
-/// healthy worker's, pulled over `Trace` frames and merged into one
-/// JSONL stream. Each source opens with a meta line carrying its drop
-/// accounting (`{"trace_meta":1,"node":…,"dropped":…,"retained":…}`), so
-/// a truncated ring is visible in the merge instead of silently reading
-/// as a complete trace. The bare `GET /trace` body is unchanged.
+/// healthy worker's `GET /trace`, merged into one JSONL stream. Each
+/// source opens with a meta line carrying its drop accounting
+/// (`{"trace_meta":1,"node":…,"dropped":…,"retained":…}`, the worker's
+/// count from its `X-Span-Dropped` header), so a truncated ring is
+/// visible in the merge instead of silently reading as a complete trace.
+/// The bare `GET /trace` body is unchanged.
 fn federated_trace_body(backend: &RemoteBackend, spans: &ServeSpans) -> String {
-    let trace_budget = backend.wire_timeout.min(Duration::from_secs(2));
+    let client = backend.client(Duration::from_secs(2));
     let mut out = String::new();
     push_trace_source(&mut out, "coordinator", spans.log().dropped(), &spans.to_jsonl());
     for target in &backend.targets {
         if !target.healthy.load(Ordering::SeqCst) {
             continue;
         }
-        if let Ok(Msg::TraceOk { worker_id, dropped, jsonl }) =
-            wire::exchange(&target.addr, &Msg::Trace, trace_budget)
-        {
-            push_trace_source(&mut out, &worker_id, dropped, &jsonl);
+        match client.get(target.sock, "/trace") {
+            Ok(r) if r.status == 200 => {
+                let dropped = r.header("X-Span-Dropped").and_then(|d| d.parse().ok());
+                push_trace_source(&mut out, &target.addr, dropped.unwrap_or(0), &r.text());
+            }
+            Ok(_) | Err(_) => {}
         }
     }
     out
@@ -429,19 +454,18 @@ fn handle_run(backend: &RemoteBackend, out: &mut Responder<'_, RemoteBackend>, b
         if attempt > 0 {
             backend.metrics.failovers.inc();
         }
-        let budget = backend.wire_timeout.min(deadline.saturating_duration_since(Instant::now()));
-        // The forward span's ID is allocated before the exchange so it
-        // can ride in the wire trace context: the worker records its
-        // spans under this request ID, parented on this span, and the
-        // federated trace stitches into one tree. Each failover attempt
-        // gets its own forward span.
+        let client = backend.client(deadline.saturating_duration_since(Instant::now()));
+        // The forward span's ID is allocated before the forward so it can
+        // ride in the trace context: the worker records its spans under
+        // this request ID, parented on this span, and the federated trace
+        // stitches into one tree. Each failover attempt gets its own
+        // forward span.
         let spans = out.spans();
         let forward_span = spans.alloc_span();
-        let trace = Some(TraceCtx { request: request_id, parent: forward_span });
+        let path = format!("/run?trace={request_id}.{forward_span}");
         let forward_start_us = spans.now_us();
         let forward_start = Instant::now();
-        let run_msg = Msg::Run { spec_json: text.to_string(), trace };
-        let outcome = wire::exchange(&target.addr, &run_msg, budget);
+        let outcome = client.post(target.sock, &path, body);
         let micros = u64::try_from(forward_start.elapsed().as_micros()).unwrap_or(u64::MAX);
         spans.record_linked(
             Stage::ClusterForward,
@@ -453,33 +477,34 @@ fn handle_run(backend: &RemoteBackend, out: &mut Responder<'_, RemoteBackend>, b
         );
         target.release();
         match outcome {
-            Ok(Msg::RunOk { cache, spec_hash, body }) => {
+            // The figure for the spec this coordinator hashed.
+            Ok(r) if r.status == 200 && r.header("X-Spec-Hash") == Some(hash.as_str()) => {
                 target.forwarded.inc();
                 target.latency_micros.with(|h| h.record(micros));
-                match cache.as_str() {
+                let cache = r.header("X-Cache").unwrap_or("miss");
+                match cache {
                     "hit-memory" => target.hits_memory.inc(),
                     "hit-disk" => target.hits_disk.inc(),
                     _ => target.misses.inc(),
                 }
                 let headers = [
-                    ("X-Cache", cache.as_str()),
-                    ("X-Spec-Hash", spec_hash.as_str()),
+                    ("X-Cache", cache),
+                    ("X-Spec-Hash", hash.as_str()),
                     ("X-Worker", target.addr.as_str()),
                 ];
-                out.respond(200, "text/plain", &headers, body.as_bytes());
+                out.respond(200, "text/plain", &headers, &r.body);
                 return;
             }
-            Ok(Msg::RunErr { status, message }) => {
-                // The worker answered: the stack is deterministic, so a
-                // retry elsewhere would fail identically. Forward as-is.
+            // The worker answered: the stack is deterministic, so a retry
+            // elsewhere would fail identically. Forward as-is.
+            Ok(r) if matches!(r.status, 400 | 500 | 504) => {
                 target.forwarded.inc();
                 target.latency_micros.with(|h| h.record(micros));
-                let status = if (400..=599).contains(&status) { status } else { 500 };
-                out.error(status, &message);
+                out.respond(r.status, "application/json", &[], &r.body);
                 return;
             }
-            // A transport failure, or a well-framed but nonsensical
-            // reply: treat the worker as broken and fail over.
+            // A failed exchange, a refusal (429, 503), or an answer that
+            // is not this spec's: treat the worker as broken and fail over.
             Ok(_) | Err(_) => {
                 target.failures.inc();
                 target.healthy.store(false, Ordering::SeqCst);
@@ -518,7 +543,7 @@ fn render_prometheus(backend: &RemoteBackend, front: &Metrics, spans: &ServeSpan
         &mut out,
         "cluster_forwarded_total",
         "counter",
-        "Requests answered by each worker (RunOk or RunErr).",
+        "Requests answered by each worker (a figure, or a 400, 500 or 504 relayed as-is).",
     );
     for t in &backend.targets {
         let _ =
@@ -529,7 +554,7 @@ fn render_prometheus(backend: &RemoteBackend, front: &Metrics, spans: &ServeSpan
         &mut out,
         "cluster_worker_failures_total",
         "counter",
-        "Transport failures per worker (connect refused, timeout, severed frame).",
+        "Failed forwards per worker (connect refused, timeout, cut-off or refused reply, wrong spec hash).",
     );
     for t in &backend.targets {
         let _ = writeln!(
@@ -650,7 +675,8 @@ mod tests {
     #[test]
     fn prometheus_rendering_is_strictly_parseable() {
         let workers = vec!["127.0.0.1:9101".to_string(), "127.0.0.1:9102".to_string()];
-        let backend = RemoteBackend::new(&CoordinatorConfig { workers, ..Default::default() });
+        let backend = RemoteBackend::new(&CoordinatorConfig { workers, ..Default::default() })
+            .expect("addresses resolve");
         let front = Metrics::default();
         let spans = ServeSpans::new(8);
         front.requests.inc();
@@ -699,7 +725,8 @@ mod tests {
 
     #[test]
     fn window_acquire_honours_the_deadline() {
-        let target = Target::new("127.0.0.1:1".to_string());
+        let addr = "127.0.0.1:1";
+        let target = Target::new(addr.to_string(), addr.parse().expect("socket address"));
         assert!(target.acquire(1, Instant::now() + Duration::from_secs(1)));
         // Window of 1 is now full; a second acquire must time out.
         let start = Instant::now();

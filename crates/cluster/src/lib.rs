@@ -6,25 +6,21 @@
 //! — byte-identity with the figure binaries — intact through routing,
 //! retries, and worker death:
 //!
-//! * [`wire`] — the length-prefixed binary protocol between coordinator
-//!   and workers: magic, version, frame kind, payload length, and a
-//!   SHA-256-derived checksum, so a truncated or corrupted frame is a
-//!   typed error rather than a misparse; [`wire::exchange`] is the one
-//!   client call (connect, send, read the reply) every caller uses;
 //! * [`ring`] — rendezvous (highest-random-weight) hashing on the
 //!   canonical spec hash: each spec has a deterministic worker order
 //!   `[primary, first failover, …]` computed from the membership list
 //!   alone, keeping every worker's result-cache shard hot;
-//! * [`worker`] — a TCP server answering wire frames through
-//!   `hbc-serve`'s local backend (spec validation, content-addressed
-//!   cache, single-flight, simulation drivers); supports graceful drain
-//!   and an abrupt kill for failover tests;
+//! * workers — each an `hbc-serve` server ([`hbc_serve::server::Server`],
+//!   started by `hbc-cluster worker`): spec validation, the
+//!   content-addressed cache, single-flight and the simulation drivers,
+//!   over the same HTTP API;
 //! * [`coordinator`] — `hbc-serve`'s HTTP front end
 //!   ([`hbc_serve::front`]) over a remote backend: the same API
 //!   (`POST /run`, `GET /metrics`, `GET /trace`, …), admission, deadlines
 //!   and drain as `hbc-serve`, plus per-worker health probes, bounded
 //!   in-flight windows, and retry-with-failover to the next rendezvous
-//!   candidate.
+//!   candidate. It reaches workers through [`hbc_serve::client`]: one
+//!   transport, one codec ([`hbc_serve::http`]).
 //!
 //! The correctness bar (proved by `tests/cluster_e2e.rs`): a response
 //! fetched through the coordinator is byte-identical to what a direct
@@ -35,9 +31,9 @@
 //!
 //! ```no_run
 //! use hbc_cluster::coordinator::{Coordinator, CoordinatorConfig};
-//! use hbc_cluster::worker::{Worker, WorkerConfig};
+//! use hbc_serve::server::{Server, ServerConfig};
 //!
-//! let worker = Worker::bind(WorkerConfig::default()).unwrap();
+//! let worker = Server::bind(ServerConfig::default()).unwrap();
 //! let config = CoordinatorConfig {
 //!     workers: vec![worker.addr().to_string()],
 //!     ..CoordinatorConfig::default()
@@ -51,5 +47,3 @@
 
 pub mod coordinator;
 pub mod ring;
-pub mod wire;
-pub mod worker;

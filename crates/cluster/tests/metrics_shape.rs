@@ -11,7 +11,6 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use hbc_cluster::coordinator::{Coordinator, CoordinatorConfig};
-use hbc_cluster::worker::{Worker, WorkerConfig};
 use hbc_serve::client::HttpClient;
 use hbc_serve::json::Json;
 use hbc_serve::metrics::parse_prometheus;
@@ -57,15 +56,20 @@ fn status_rows(text: &str, family: &str) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn server_metrics_shape_is_pinned() {
+/// A memory-only server on an ephemeral port: `hbc-serve`, or a worker.
+fn server() -> Server {
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         cache_dir: None,
         ..ServerConfig::default()
     };
-    let server = Server::bind(config).expect("bind");
+    Server::bind(config).expect("bind")
+}
+
+#[test]
+fn server_metrics_shape_is_pinned() {
+    let server = server();
     let addr = server.addr();
     for _ in 0..2 {
         assert_eq!(http().post(addr, "/run", SPEC.as_bytes()).expect("run").status, 200);
@@ -130,15 +134,7 @@ fn server_metrics_shape_is_pinned() {
 
 #[test]
 fn coordinator_metrics_shape_is_pinned() {
-    let worker = || {
-        let config = WorkerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            cache_dir: None,
-            ..WorkerConfig::default()
-        };
-        Worker::bind(config).expect("worker binds")
-    };
-    let (w1, w2) = (worker(), worker());
+    let (w1, w2) = (server(), server());
     let config = CoordinatorConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: vec![w1.addr().to_string(), w2.addr().to_string()],
@@ -180,7 +176,7 @@ fn coordinator_metrics_shape_is_pinned() {
     coordinator.handle().shutdown();
     coordinator.join();
     for w in [w1, w2] {
-        w.handle().drain();
+        w.handle().shutdown();
         w.join();
     }
 }

@@ -4,8 +4,8 @@
 //! with separate connect and I/O timeouts so a wedged server turns into a
 //! typed [`ClientError`], not a hung caller. This is the single client
 //! implementation shared by the `hbc-load` generator, the `hbc-cluster`
-//! coordinator tooling, and the end-to-end tests; it is not a general
-//! HTTP client.
+//! coordinator's forwards, probes and tooling, and the end-to-end tests;
+//! it is not a general HTTP client.
 
 use std::fmt;
 use std::io;
@@ -95,6 +95,7 @@ pub fn send_request_head(
     path: &str,
     body: &[u8],
 ) -> io::Result<()> {
+    debug_assert!(!crate::Locked::held(), "socket I/O inside a critical section");
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: hbc-serve\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()

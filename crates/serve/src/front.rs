@@ -31,6 +31,12 @@
 //!   answers every *new* connection with an orderly `503`, until
 //!   [`Front::join`] has joined the handlers. Anything still queued then
 //!   gets a `503` too.
+//! * **Trace context** — span and request IDs start above the bound port
+//!   shifted into the high 32 bits, so the rings of a coordinator and its
+//!   workers merge without two processes sharing an ID. A request whose
+//!   query carries `trace=REQUEST.SPAN` (a coordinator's forward) records
+//!   every span under that request, parented on that span, so the
+//!   federated trace holds one tree per request across processes.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -96,12 +102,13 @@ pub struct FrontConfig {
     pub request_timeout: Duration,
 }
 
-/// One accepted connection waiting for a handler.
+/// One accepted connection waiting for a handler. Its spans are recorded
+/// once the request is read, which may name the trace they belong to.
 struct QueuedConn {
     stream: TcpStream,
     accepted: Instant,
-    /// The span-trace request ID allocated at accept.
-    request_id: u64,
+    /// When the acceptor took the connection, on the span clock.
+    accept_us: u64,
     /// When the connection entered the queue, on the span clock.
     queued_us: u64,
 }
@@ -142,17 +149,23 @@ impl<B> Clone for FrontHandle<B> {
 
 impl<B: Backend> Front<B> {
     /// Binds the listener, spawns the acceptor and handler threads, and
-    /// returns immediately. `metrics` and `spans` are shared with the
-    /// backend, which counts and traces its own stages into them.
+    /// returns immediately. The span ring keeps the `span_capacity` most
+    /// recent spans, with IDs namespaced by the bound port. `backend`
+    /// builds the backend from the metrics and spans it shares with the
+    /// front end, which it counts and traces its own stages into.
     pub fn start(
         config: FrontConfig,
-        backend: B,
-        metrics: Arc<Metrics>,
-        spans: Arc<ServeSpans>,
+        span_capacity: usize,
+        backend: impl FnOnce(&Arc<Metrics>, &Arc<ServeSpans>) -> B,
     ) -> io::Result<Front<B>> {
         let listener = TcpListener::bind(&config.addr)?;
+        let addr = listener.local_addr()?;
+        let id_base = u64::from(addr.port()) << 32;
+        let spans = Arc::new(ServeSpans::with_id_base(span_capacity, id_base));
+        let metrics = Arc::default();
+        let backend = backend(&metrics, &spans);
         let shared = Arc::new(Shared {
-            addr: listener.local_addr()?,
+            addr,
             request_timeout: config.request_timeout,
             backend,
             metrics,
@@ -254,26 +267,21 @@ fn accept_loop<B: Backend>(shared: &Shared<B>, listener: &TcpListener) {
             respond_without_reading(stream, 503, &format!("{} is draining", B::ROLE));
             continue;
         }
-        let accept_start_us = shared.spans.now_us();
+        let accept_us = shared.spans.now_us();
         let queued = shared.queue.with(|queue| {
             if queue.len() >= shared.queue_capacity {
                 return Err(stream);
             }
-            let request_id = shared.spans.begin_request();
             let queued_us = shared.spans.now_us();
-            queue.push_back(QueuedConn { stream, accepted: Instant::now(), request_id, queued_us });
+            queue.push_back(QueuedConn { stream, accepted: Instant::now(), accept_us, queued_us });
             shared.metrics.queue_push();
-            Ok((request_id, queued_us))
+            Ok(())
         });
-        let (request_id, queued_us) = match queued {
-            Ok(ids) => ids,
-            Err(stream) => {
-                shared.metrics.responses_rejected.inc();
-                respond_without_reading(stream, 429, "admission queue is full, retry later");
-                continue;
-            }
-        };
-        shared.spans.record_at(Stage::ServeAccept, request_id, 0, accept_start_us, queued_us);
+        if let Err(stream) = queued {
+            shared.metrics.responses_rejected.inc();
+            respond_without_reading(stream, 429, "admission queue is full, retry later");
+            continue;
+        }
         shared.queue.notify_one();
     }
 }
@@ -312,7 +320,7 @@ fn error_body(status: u16, message: &str) -> String {
 }
 
 /// One request being answered: the connection, its deadline, and its
-/// span-trace request ID. Every response goes through
+/// span-trace context. Every response goes through
 /// [`respond`](Self::respond), which counts it by status, records the
 /// serialize and write spans, and records the end-to-end latency.
 pub struct Responder<'a, B> {
@@ -321,8 +329,13 @@ pub struct Responder<'a, B> {
     accepted: Instant,
     /// The request's deadline (accept time plus the request timeout).
     pub deadline: Instant,
-    /// The span-trace request ID allocated at accept.
+    /// The span-trace request ID: this front end's own, or the one a
+    /// forwarding coordinator sent in `?trace=`.
     pub request_id: u64,
+    /// The span this request's spans hang under: the forwarding
+    /// coordinator's `cluster.forward` span, or 0 for a request that came
+    /// with no trace context.
+    pub parent: u64,
 }
 
 impl<B: Backend> Responder<'_, B> {
@@ -356,15 +369,15 @@ impl<B: Backend> Responder<'_, B> {
             _ if shared.backend.count_status(status) => {}
             _ => m.responses_error.inc(),
         }
-        let (spans, id) = (&shared.spans, self.request_id);
+        let (spans, id, parent) = (&shared.spans, self.request_id, self.parent);
         let serialize_start_us = spans.now_us();
         let bytes = http::render_response(status, content_type, extra_headers, body);
         let write_start_us = spans.now_us();
-        spans.record_at(Stage::ServeSerialize, id, 0, serialize_start_us, write_start_us);
+        spans.record_at(Stage::ServeSerialize, id, parent, serialize_start_us, write_start_us);
         use std::io::Write as _;
         debug_assert!(!Locked::held(), "socket I/O inside a critical section");
         let _ = self.stream.write_all(&bytes).and_then(|()| self.stream.flush());
-        spans.record_at(Stage::ServeWrite, id, 0, write_start_us, spans.now_us());
+        spans.record_at(Stage::ServeWrite, id, parent, write_start_us, spans.now_us());
         let micros = u64::try_from(self.accepted.elapsed().as_micros()).unwrap_or(u64::MAX);
         m.record_latency(micros);
     }
@@ -380,27 +393,46 @@ impl<B: Backend> Responder<'_, B> {
 const SHARED_PATHS: &[&str] =
     &["/run", "/metrics", "/trace", "/healthz", "/experiments", "/shutdown"];
 
+/// The `trace=REQUEST.SPAN` pair of a query, if it names two nonzero IDs.
+fn trace_context(query: &str) -> Option<(u64, u64)> {
+    let value = query.split('&').find_map(|pair| pair.strip_prefix("trace="))?;
+    let (request, span) = value.split_once('.')?;
+    let ids = (request.parse().ok()?, span.parse().ok()?);
+    (ids.0 != 0 && ids.1 != 0).then_some(ids)
+}
+
 fn handle_conn<B: Backend>(shared: &Shared<B>, conn: QueuedConn) {
-    let QueuedConn { mut stream, accepted, request_id, queued_us } = conn;
-    shared.spans.record_at(Stage::ServeQueueWait, request_id, 0, queued_us, shared.spans.now_us());
+    let QueuedConn { mut stream, accepted, accept_us, queued_us } = conn;
+    let spans = &shared.spans;
+    let dequeued_us = spans.now_us();
     let deadline = accepted + shared.request_timeout;
-    let mut out = Responder { shared, stream: &mut stream, accepted, deadline, request_id };
     let now = Instant::now();
-    if now >= deadline {
-        // Spent its whole budget in the queue.
+    // `None`: the request spent its whole budget in the queue.
+    let parsed = (now < deadline).then(|| {
+        // The socket read budget is the smaller of the request deadline and
+        // a fixed cap, so an idle client cannot pin a handler for long.
+        let io_budget = (deadline - now).min(Duration::from_secs(10));
+        let _ = stream.set_read_timeout(Some(io_budget));
+        let _ = stream.set_write_timeout(Some(io_budget));
+        let parse_start_us = spans.now_us();
+        (parse_start_us, http::read_request(&mut stream), spans.now_us())
+    });
+    let context = match &parsed {
+        Some((_, Ok(request), _)) => {
+            request.path.split_once('?').and_then(|(_, q)| trace_context(q))
+        }
+        _ => None,
+    };
+    let (request_id, parent) = context.unwrap_or_else(|| (spans.begin_request(), 0));
+    spans.record_at(Stage::ServeAccept, request_id, parent, accept_us, queued_us);
+    spans.record_at(Stage::ServeQueueWait, request_id, parent, queued_us, dequeued_us);
+    let mut out = Responder { shared, stream: &mut stream, accepted, deadline, request_id, parent };
+    let Some((parse_start_us, parsed, parse_end_us)) = parsed else {
         shared.metrics.requests.inc();
         out.error(504, "request timed out in queue");
         return;
-    }
-    // The socket read budget is the smaller of the request deadline and a
-    // fixed cap, so an idle client cannot pin a handler for a long timeout.
-    let io_budget = (deadline - now).min(Duration::from_secs(10));
-    let _ = out.stream.set_read_timeout(Some(io_budget));
-    let _ = out.stream.set_write_timeout(Some(io_budget));
-
-    let parse_start_us = shared.spans.now_us();
-    let parsed = http::read_request(&mut *out.stream);
-    shared.spans.record_at(Stage::ServeParse, request_id, 0, parse_start_us, shared.spans.now_us());
+    };
+    spans.record_at(Stage::ServeParse, request_id, parent, parse_start_us, parse_end_us);
     let request = match parsed {
         Ok(request) => request,
         // Nothing useful (or nobody) to answer: closed early or dead socket.
@@ -427,8 +459,16 @@ fn handle_conn<B: Backend>(shared: &Shared<B>, conn: QueuedConn) {
             out.respond(200, "text/plain; version=0.0.4", &[], body.as_bytes());
         }
         ("GET", "/trace") => {
+            // The drop count rides in a header so a federating coordinator
+            // can flag an incomplete ring without a second request.
+            let dropped = shared.spans.log().dropped().to_string();
             let body = shared.spans.to_jsonl();
-            out.respond(200, "application/x-ndjson", &[], body.as_bytes());
+            out.respond(
+                200,
+                "application/x-ndjson",
+                &[("X-Span-Dropped", &dropped)],
+                body.as_bytes(),
+            );
         }
         ("GET", "/healthz") => out.respond(200, "text/plain", &[], b"ok\n"),
         ("GET", "/experiments") => {
@@ -468,6 +508,15 @@ mod tests {
         let body = error_body(400, "field `seed`: expected \"quote\"");
         let v = Json::parse(&body).expect("envelope parses");
         assert_eq!(v.as_obj().unwrap()["status"].as_u64(), Some(400));
+    }
+
+    #[test]
+    fn trace_context_needs_two_nonzero_ids() {
+        assert_eq!(trace_context("trace=7.42"), Some((7, 42)));
+        assert_eq!(trace_context("x=1&trace=7.42"), Some((7, 42)));
+        for query in ["", "trace=7", "trace=0.42", "trace=7.0", "trace=a.b", "trace=7.42.1"] {
+            assert_eq!(trace_context(query), None, "{query}");
+        }
     }
 
     #[test]

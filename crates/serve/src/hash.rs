@@ -3,8 +3,9 @@
 //!
 //! The cache key must make "same bytes" and "same key" interchangeable: a
 //! 64-bit mixer would make accidental collisions merely unlikely, while a
-//! 256-bit digest makes them ignorable — and the `sanitize` feature still
-//! cross-checks every hit byte-for-byte (see [`crate::cache`]).
+//! 256-bit digest makes them ignorable — and every disk hit is still
+//! cross-checked byte-for-byte against the stored spec (see
+//! [`crate::cache`]).
 //!
 //! # Example
 //!

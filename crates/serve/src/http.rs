@@ -1,16 +1,20 @@
 //! A minimal HTTP/1.1 codec over blocking streams.
 //!
-//! Just enough of RFC 9112 for the service and its load generator: one
-//! request per connection (`Connection: close` on every response),
-//! request-line + header parsing with size caps, `Content-Length` bodies
-//! only (no chunked transfer), and status/header/body response writing.
-//! Both sides of the wire live here so the server, the client, and the
-//! tests share one implementation.
+//! Just enough of RFC 9112 for the service, its load generator and the
+//! cluster coordinator's forwards: one request per connection
+//! (`Connection: close` on every response), request-line + header parsing
+//! with size caps, `Content-Length` bodies only (no chunked transfer), and
+//! status/header/body response writing. Both sides of the wire live here
+//! so the server, the client, and the tests share one implementation.
 //!
-//! Input is untrusted: header and body sizes are capped, and every parse
-//! failure is a typed [`HttpError`] the server maps to a `400` rather
-//! than a panic — `unwrap`/`expect` is denied in this crate by its
-//! `[lints.clippy]` table.
+//! Heads are read in chunks of [`READ_CHUNK`] bytes. A connection carries
+//! one message, so whatever a chunk holds past the blank line is the
+//! start of the body.
+//!
+//! Input is untrusted: head and body sizes are capped before anything is
+//! allocated for them, and every parse failure is a typed [`HttpError`]
+//! the server maps to a `400` rather than a panic — `unwrap`/`expect` is
+//! denied in this crate by its `[lints.clippy]` table.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -21,6 +25,13 @@ use crate::Locked;
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Maximum request body bytes (specs are tiny; anything bigger is abuse).
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
+/// Maximum response body bytes. The largest body a peer answers is a
+/// worker's `GET /trace`: a full ring at the 2^18 spans a traced benchmark
+/// run retains is under 64 MiB even with every span field at its widest.
+pub const MAX_RESPONSE_BODY_BYTES: usize = 64 << 20;
+/// Bytes asked of the stream per `read` while looking for the end of a
+/// head.
+pub const READ_CHUNK: usize = 4096;
 
 /// A parsed HTTP request head plus its body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +44,7 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Why reading or parsing a request failed.
+/// Why reading or parsing a request or a response failed.
 #[derive(Debug)]
 pub enum HttpError {
     /// The underlying socket failed (includes read timeouts).
@@ -42,7 +53,7 @@ pub enum HttpError {
     TooLarge(&'static str),
     /// The bytes were not valid HTTP.
     Malformed(&'static str),
-    /// The peer closed before a full request arrived.
+    /// The peer closed before sending a byte.
     Closed,
 }
 
@@ -50,9 +61,9 @@ impl fmt::Display for HttpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HttpError::Io(e) => write!(f, "socket error: {e}"),
-            HttpError::TooLarge(what) => write!(f, "request {what} too large"),
-            HttpError::Malformed(what) => write!(f, "malformed request: {what}"),
-            HttpError::Closed => write!(f, "connection closed mid-request"),
+            HttpError::TooLarge(what) => write!(f, "message {what} too large"),
+            HttpError::Malformed(what) => write!(f, "malformed message: {what}"),
+            HttpError::Closed => write!(f, "connection closed before a message arrived"),
         }
     }
 }
@@ -65,25 +76,60 @@ impl From<io::Error> for HttpError {
     }
 }
 
-/// Reads one request (head + `Content-Length` body) from `stream`.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
+/// Reads up to and including the blank line that ends a head (at most
+/// [`MAX_HEAD_BYTES`]). Returns the head as text and the bytes the last
+/// read carried past it, which begin the body. EOF before any byte is
+/// [`HttpError::Closed`].
+fn read_head(stream: &mut impl Read) -> Result<(String, Vec<u8>), HttpError> {
     debug_assert!(!Locked::held(), "socket I/O inside a critical section");
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    // Byte-at-a-time until CRLFCRLF: requests are tiny and arrive in one
-    // segment; simplicity beats a buffered reader that would over-read
-    // into the body.
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
+    let mut buf = Vec::with_capacity(READ_CHUNK);
+    let mut chunk = [0u8; READ_CHUNK];
+    let end = loop {
+        // The terminator may straddle two reads: rescan the last 3 bytes.
+        let from = buf.len().saturating_sub(3);
+        let n = match stream.read(&mut chunk) {
+            Ok(0) if buf.is_empty() => return Err(HttpError::Closed),
+            Ok(0) => return Err(HttpError::Malformed("truncated head")),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(HttpError::Io(e)),
+        };
+        buf.extend_from_slice(&chunk[..n]);
+        if let Some(at) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break from + at + 4;
+        }
+        if buf.len() >= MAX_HEAD_BYTES {
             return Err(HttpError::TooLarge("head"));
         }
-        match stream.read(&mut byte)? {
-            0 if head.is_empty() => return Err(HttpError::Closed),
-            0 => return Err(HttpError::Malformed("truncated head")),
-            _ => head.push(byte[0]),
-        }
+    };
+    if end > MAX_HEAD_BYTES {
+        return Err(HttpError::TooLarge("head"));
     }
-    let head = std::str::from_utf8(&head).map_err(|_| HttpError::Malformed("non-UTF-8 head"))?;
+    let rest = buf.split_off(end);
+    let head = String::from_utf8(buf).map_err(|_| HttpError::Malformed("non-UTF-8 head"))?;
+    Ok((head, rest))
+}
+
+/// Completes a body of `len` bytes whose first bytes, `prefix`, came with
+/// the head. Bytes past `len` are dropped (one message per connection).
+/// The buffer grows as bytes arrive, never to a declared length up front.
+fn read_body(
+    stream: &mut impl Read,
+    mut prefix: Vec<u8>,
+    len: usize,
+) -> Result<Vec<u8>, HttpError> {
+    prefix.truncate(len);
+    let missing = len - prefix.len();
+    stream.take(missing as u64).read_to_end(&mut prefix)?;
+    if prefix.len() < len {
+        return Err(HttpError::Malformed("truncated body"));
+    }
+    Ok(prefix)
+}
+
+/// Reads one request (head + `Content-Length` body) from `stream`.
+pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
+    let (head, rest) = read_head(stream)?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().ok_or(HttpError::Malformed("empty head"))?;
     let mut parts = request_line.split(' ');
@@ -113,14 +159,7 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge("body"));
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            HttpError::Malformed("truncated body")
-        } else {
-            HttpError::Io(e)
-        }
-    })?;
+    let body = read_body(stream, rest, content_length)?;
     Ok(Request { method: method.to_string(), path: path.to_string(), body })
 }
 
@@ -207,20 +246,9 @@ impl Response {
 
 /// Reads one response. The body is `Content-Length` bytes when the header
 /// is present, otherwise everything until EOF (legal under
-/// `Connection: close`).
+/// `Connection: close`); either way at most [`MAX_RESPONSE_BODY_BYTES`].
 pub fn read_response(stream: &mut impl Read) -> Result<Response, HttpError> {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(HttpError::TooLarge("head"));
-        }
-        match stream.read(&mut byte)? {
-            0 => return Err(HttpError::Closed),
-            _ => head.push(byte[0]),
-        }
-    }
-    let head = std::str::from_utf8(&head).map_err(|_| HttpError::Malformed("non-UTF-8 head"))?;
+    let (head, rest) = read_head(stream)?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().ok_or(HttpError::Malformed("empty head"))?;
     let status = status_line
@@ -246,14 +274,17 @@ pub fn read_response(stream: &mut impl Read) -> Result<Response, HttpError> {
         headers.push((name, value));
     }
     let body = match content_length {
-        Some(n) => {
-            let mut body = vec![0u8; n];
-            stream.read_exact(&mut body)?;
-            body
-        }
+        Some(n) if n > MAX_RESPONSE_BODY_BYTES => return Err(HttpError::TooLarge("body")),
+        Some(n) => read_body(stream, rest, n)?,
         None => {
-            let mut body = Vec::new();
-            stream.read_to_end(&mut body)?;
+            // One byte past the cap tells an oversized body from one that
+            // fills it exactly.
+            let mut body = rest;
+            let room = (MAX_RESPONSE_BODY_BYTES + 1).saturating_sub(body.len());
+            stream.take(room as u64).read_to_end(&mut body)?;
+            if body.len() > MAX_RESPONSE_BODY_BYTES {
+                return Err(HttpError::TooLarge("body"));
+            }
             body
         }
     };
@@ -334,5 +365,77 @@ mod tests {
         let wire = b"HTTP/1.1 200 OK\r\n\r\nuntil eof";
         let resp = read_response(&mut &wire[..]).unwrap();
         assert_eq!(resp.body, b"until eof");
+    }
+
+    /// Hands out at most `step` bytes per `read`.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_head_split_across_reads_parses() {
+        let wire = b"POST /run?trace=3.4 HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
+        for step in [1, 2, 3, 5, 7, READ_CHUNK] {
+            let req = read_request(&mut Trickle { bytes: wire, step }).unwrap();
+            assert_eq!((req.path.as_str(), req.body.as_slice()), ("/run?trace=3.4", &b"hello"[..]));
+        }
+    }
+
+    #[test]
+    fn bytes_past_the_body_are_dropped() {
+        let wire = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\nokGET /y HTTP/1.1\r\n\r\n";
+        assert_eq!(read_request(&mut &wire[..]).unwrap().body, b"ok");
+    }
+
+    #[test]
+    fn oversized_response_bodies_are_rejected_before_allocation() {
+        // A declared length far past the cap fails without reading on.
+        let wire = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", usize::MAX);
+        assert!(matches!(read_response(&mut wire.as_bytes()), Err(HttpError::TooLarge("body"))));
+        let wire =
+            format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", MAX_RESPONSE_BODY_BYTES + 1);
+        assert!(matches!(read_response(&mut wire.as_bytes()), Err(HttpError::TooLarge("body"))));
+        // Without a length, reading to EOF stops one byte past the cap.
+        let head = &b"HTTP/1.1 200 OK\r\n\r\n"[..];
+        let endless = head.chain(io::repeat(b'x'));
+        assert!(matches!(
+            read_response(&mut endless.take(u64::MAX)),
+            Err(HttpError::TooLarge("body"))
+        ));
+        let full = head.chain(io::repeat(b'x').take(MAX_RESPONSE_BODY_BYTES as u64));
+        assert_eq!(read_response(&mut { full }).unwrap().body.len(), MAX_RESPONSE_BODY_BYTES);
+    }
+
+    #[test]
+    fn the_response_cap_holds_a_full_traced_span_ring() {
+        // Every field at its widest and the longest stage name, times the
+        // ring size a traced benchmark run uses.
+        let log = hbc_probe::SpanLog::new(1);
+        let stage = hbc_probe::Stage::ALL
+            .into_iter()
+            .max_by_key(|s| s.name().len())
+            .unwrap_or(hbc_probe::Stage::ClusterWorkerExecute);
+        let max = u64::MAX;
+        let record = hbc_probe::SpanRecord {
+            request: max,
+            span: max,
+            parent: max,
+            stage,
+            start_us: max,
+            dur_us: max,
+        };
+        log.record(record);
+        let widest_line = log.to_jsonl().len();
+        assert!(widest_line * (1 << 18) <= MAX_RESPONSE_BODY_BYTES, "{widest_line} bytes a line");
     }
 }

@@ -18,8 +18,8 @@
 //!   end over a remote backend;
 //! * [`server`] — the front end over the local backend: single-flight
 //!   coalescing of concurrent identical requests onto one simulation,
-//!   with results kept in the cache; the cluster worker answers through
-//!   the same backend;
+//!   with results kept in the cache; an `hbc-cluster worker` is this
+//!   server;
 //! * [`metrics`] — request/cache/queue/latency counters and per-stage
 //!   quantiles in the Prometheus text format at `GET /metrics` (legacy
 //!   `hbc-probe` registry JSON at `GET /metrics.json`);
@@ -29,8 +29,8 @@
 //!   goes through, so no guard is ever held across socket I/O;
 //! * [`client`] — the reusable blocking HTTP client (separate connect and
 //!   I/O timeouts, typed [`client::ClientError`]) shared by the `hbc-load`
-//!   generator, the `hbc-cluster` coordinator tooling, and the end-to-end
-//!   tests.
+//!   generator, the `hbc-cluster` coordinator's forwards and tooling, and
+//!   the end-to-end tests.
 //!
 //! The serving contract is *bit-identity*: a figure fetched through the
 //! service equals the corresponding figure binary's standard output

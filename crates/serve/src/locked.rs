@@ -10,9 +10,10 @@
 //!
 //! In debug builds each critical section marks its thread as holding a
 //! lock. Entering a second one on the same thread panics, and the socket
-//! funnels (`http::read_request`/`write_response`, `Responder::respond`,
-//! the cluster's `wire::read_msg`/`write_msg` and the worker's frame
-//! write) assert that [`Locked::held`] is false. With no nesting there is
+//! funnels (`http::read_request`/`read_response`/`write_response`,
+//! `client::send_request_head` and `Responder::respond`, which every
+//! server, worker, client and forward goes through) assert that
+//! [`Locked::held`] is false. With no nesting there is
 //! no lock order, so no two threads can deadlock by taking two locks in
 //! opposite orders. Release builds skip the bookkeeping.
 

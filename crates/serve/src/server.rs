@@ -18,8 +18,12 @@
 //!   populates the result cache, so a retry is a hit.
 //! * **Single-flight** — concurrent identical requests coalesce onto one
 //!   simulation; followers wait on the leader's flight and serve the
-//!   same bytes. `serve.exec.runs` counts real simulations only. The
-//!   cluster worker answers its `Run` frames through the same backend.
+//!   same bytes. `serve.exec.runs` counts real simulations only.
+//! * **Forwarded requests** — a cluster worker *is* this server. A
+//!   `POST /run` a coordinator forwards carries its trace context, and
+//!   its lookup and simulation spans hang under one
+//!   `cluster.worker_execute` span parented on the coordinator's forward
+//!   span.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -97,25 +101,19 @@ impl Flight {
         self.0.notify_all();
     }
 
-    /// Waits until the flight lands, or until `deadline` if there is one;
-    /// `Running` means the deadline passed first.
-    fn wait(&self, deadline: Option<Instant>) -> FlightState {
+    /// Waits until the flight lands or `deadline` passes; `Running` means
+    /// the deadline passed first.
+    fn wait(&self, deadline: Instant) -> FlightState {
         let landed = |s: &FlightState| !matches!(s, FlightState::Running);
-        self.0.wait_until(deadline, landed, |s, _| s.clone())
+        self.0.wait_until(Some(deadline), landed, |s, _| s.clone())
     }
 }
 
-/// How [`LocalBackend::run_spec`] answered one spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Outcome {
-    /// How it was served (`hit-memory`, `hit-disk`, `miss` or
-    /// `coalesced`), the spec hash, and the payload — byte-identical to
-    /// the figure binary's output.
-    Served(&'static str, String, String),
-    /// An error status (`400` bad spec, `500` failed simulation, `504`
-    /// missed deadline) and its message.
-    Failed(u16, String),
-}
+/// How one spec was answered: how it was served (`hit-memory`,
+/// `hit-disk`, `miss` or `coalesced`), the spec hash and the payload, or
+/// an error status (`400` bad spec, `500` failed simulation, `504` missed
+/// deadline) and its message.
+type Answer = Result<(&'static str, String, String), (u16, String)>;
 
 /// The local backend: content-addressed result cache, single-flight
 /// coalescing, and simulation on a runner thread.
@@ -129,40 +127,18 @@ struct Local {
     metrics: Arc<Metrics>,
     spans: Arc<ServeSpans>,
     in_flight: Locked<BTreeMap<String, Arc<Flight>>>,
-    /// Names the process in panic messages (`see {role} logs`).
-    role: String,
 }
 
 impl LocalBackend {
-    /// A backend over `cache` that clamps `jobs` to `max_jobs` and traces
-    /// into `spans`. `role` names the process in error messages.
-    pub fn new(cache: ResultCache, max_jobs: usize, spans: Arc<ServeSpans>, role: &str) -> Self {
-        let (metrics, in_flight) = (Arc::default(), Locked::default());
-        let role = role.to_string();
-        LocalBackend { inner: Arc::new(Local { max_jobs, cache, metrics, spans, in_flight, role }) }
-    }
-
-    /// The cache and execution counters (shared with the front end).
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.inner.metrics
-    }
-
     /// Answers one spec: cache lookup, then single-flight simulation.
     /// `deadline` bounds the wait for a simulation; a missed deadline
-    /// answers `504` while the simulation runs on into the cache. With
-    /// `None` the leader simulates on the calling thread. Spans record
-    /// under `request`, parented on `parent`.
-    pub fn run_spec(
-        &self,
-        spec_json: &str,
-        deadline: Option<Instant>,
-        request: u64,
-        parent: u64,
-    ) -> Outcome {
+    /// answers `504` while the simulation runs on into the cache. Spans
+    /// record under `request`, parented on `parent`.
+    fn answer(&self, spec_json: &str, deadline: Instant, request: u64, parent: u64) -> Answer {
         let (local, spans) = (&self.inner, &self.inner.spans);
         let mut run = match RunRequest::from_json_text(spec_json) {
             Ok(run) => run,
-            Err(err) => return Outcome::Failed(400, err.to_string()),
+            Err(err) => return Err((400, err.to_string())),
         };
         // `jobs` is execution-only (absent from the cache key); clamp it so
         // a request cannot commandeer the host.
@@ -182,7 +158,7 @@ impl LocalBackend {
                 Tier::Disk => ("hit-disk", &local.metrics.cache_hits_disk),
             };
             counter.inc();
-            return Outcome::Served(cache, spec_hash, body);
+            return Ok((cache, spec_hash, body));
         }
 
         // Single-flight: the first requester for this hash leads and
@@ -198,7 +174,7 @@ impl LocalBackend {
         if leader {
             local.metrics.cache_misses.inc();
             let key = (spec_hash.clone(), canonical);
-            self.run_flight(run, key, (request, parent), &flight, deadline);
+            self.run_flight(run, key, (request, parent), &flight);
         } else {
             local.metrics.coalesced.inc();
         }
@@ -209,30 +185,27 @@ impl LocalBackend {
         spans.record_at(Stage::ServeSingleFlightWait, request, parent, wait_start_us, wait_end_us);
         match outcome {
             FlightState::Done(body) => {
-                Outcome::Served(if leader { "miss" } else { "coalesced" }, spec_hash, body)
+                Ok((if leader { "miss" } else { "coalesced" }, spec_hash, body))
             }
-            FlightState::Failed(message) => Outcome::Failed(500, message),
-            FlightState::Running => Outcome::Failed(
+            FlightState::Failed(message) => Err((500, message)),
+            FlightState::Running => Err((
                 504,
                 "simulation exceeded the request timeout; it continues into the result cache \
                  — retry to fetch it"
                     .to_string(),
-            ),
+            )),
         }
     }
 
-    /// Runs one simulation and completes its [`Flight`]. Without a
-    /// deadline nobody can give up waiting, so it runs on this thread.
-    /// With one it runs on a detached runner thread that finishes even if
-    /// every waiter times out, so the result still lands in the cache and
-    /// a retry is a hit.
+    /// Runs one simulation on a detached runner thread and completes its
+    /// [`Flight`]. The runner finishes even if every waiter times out, so
+    /// the result still lands in the cache and a retry is a hit.
     fn run_flight(
         &self,
         run: RunRequest,
         (hash, canonical): (String, String),
         (request, parent): (u64, u64),
         flight: &Arc<Flight>,
-        deadline: Option<Instant>,
     ) {
         let local = Arc::clone(&self.inner);
         let (runner_flight, runner_hash) = (Arc::clone(flight), hash.clone());
@@ -249,21 +222,19 @@ impl LocalBackend {
             let state = match result {
                 Ok(body) => {
                     if let Err(e) = local.cache.put(&hash, &canonical, &body) {
-                        eprintln!("{}: persisting cache entry {hash} failed: {e}", local.role);
+                        let role = LocalBackend::ROLE;
+                        eprintln!("{role}: persisting cache entry {hash} failed: {e}");
                     }
                     FlightState::Done(body)
                 }
                 Err(_) => FlightState::Failed(format!(
                     "simulation for spec {hash} panicked; see {} logs",
-                    local.role
+                    LocalBackend::ROLE
                 )),
             };
             local.in_flight.with(|in_flight| in_flight.remove(&hash));
             flight.finish(state);
         };
-        if deadline.is_none() {
-            return simulate();
-        }
         let runner = std::thread::Builder::new().name("hbc-serve-runner".to_string());
         if let Err(e) = runner.spawn(simulate) {
             self.inner.in_flight.with(|in_flight| in_flight.remove(&hash));
@@ -277,16 +248,26 @@ impl Backend for LocalBackend {
     const PATHS: &'static [&'static str] = &["/metrics.json"];
 
     fn run(&self, out: &mut Responder<'_, Self>, body: &[u8]) {
-        let Ok(text) = std::str::from_utf8(body) else {
-            out.error(400, "request body is not UTF-8");
-            return;
+        let (spans, request, forward) = (&self.inner.spans, out.request_id, out.parent);
+        // A forwarded request hangs its work under one execute span, closed
+        // before the reply is written: a trace fetched the moment the reply
+        // lands already holds the whole subtree.
+        let (exec_span, start_us) =
+            if forward == 0 { (0, 0) } else { (spans.alloc_span(), spans.now_us()) };
+        let answer = match std::str::from_utf8(body) {
+            Ok(text) => self.answer(text, out.deadline, request, exec_span),
+            Err(_) => Err((400, "request body is not UTF-8".to_string())),
         };
-        match self.run_spec(text, Some(out.deadline), out.request_id, 0) {
-            Outcome::Served(cache, spec_hash, body) => {
+        if exec_span != 0 {
+            let (stage, end_us) = (Stage::ClusterWorkerExecute, spans.now_us());
+            spans.record_linked(stage, exec_span, request, forward, start_us, end_us);
+        }
+        match answer {
+            Ok((cache, spec_hash, body)) => {
                 let headers = [("X-Cache", cache), ("X-Spec-Hash", spec_hash.as_str())];
                 out.respond(200, "text/plain", &headers, body.as_bytes());
             }
-            Outcome::Failed(status, message) => out.error(status, &message),
+            Err((status, message)) => out.error(status, &message),
         }
     }
 
@@ -328,16 +309,18 @@ impl Server {
             Some(dir) => ResultCache::new(dir.clone(), config.cache_entries),
             None => ResultCache::in_memory(config.cache_entries),
         };
-        let spans = Arc::new(ServeSpans::new(config.span_capacity));
-        let backend = LocalBackend::new(cache, config.max_jobs, Arc::clone(&spans), "server");
-        let metrics = Arc::clone(backend.metrics());
         let front = FrontConfig {
             addr: config.addr,
             handlers: config.workers,
             queue_capacity: config.queue_capacity,
             request_timeout: config.request_timeout,
         };
-        Front::start(front, backend, metrics, spans)
+        let max_jobs = config.max_jobs;
+        Front::start(front, config.span_capacity, |metrics, spans| {
+            let (metrics, spans, in_flight) =
+                (Arc::clone(metrics), Arc::clone(spans), Locked::default());
+            LocalBackend { inner: Arc::new(Local { max_jobs, cache, metrics, spans, in_flight }) }
+        })
     }
 }
 
@@ -349,10 +332,9 @@ mod tests {
     fn flight_wait_times_out_and_completes() {
         let flight = Flight::new();
         let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(matches!(flight.wait(Some(deadline)), FlightState::Running));
+        assert!(matches!(flight.wait(deadline), FlightState::Running));
         flight.finish(FlightState::Done("x".to_string()));
         let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(matches!(flight.wait(Some(deadline)), FlightState::Done(b) if b == "x"));
-        assert!(matches!(flight.wait(None), FlightState::Done(b) if b == "x"));
+        assert!(matches!(flight.wait(deadline), FlightState::Done(b) if b == "x"));
     }
 }

@@ -54,7 +54,7 @@ impl ServeSpans {
     }
 
     /// A sink whose request/span IDs start above `base` (see
-    /// [`SpanLog::with_id_base`]). Cluster workers use their bound port
+    /// [`SpanLog::with_id_base`]). Every front end uses its bound port
     /// shifted into the high bits, so a federated trace merge never sees
     /// two processes allocate the same span ID.
     pub fn with_id_base(capacity: usize, base: u64) -> Self {
@@ -94,7 +94,7 @@ impl ServeSpans {
     }
 
     /// Allocates a span ID *before* its span completes, so the ID can be
-    /// sent to another process as a parent link (the wire trace context)
+    /// sent to another process as a parent link (the `?trace=` context)
     /// while the span is still open. Pair with
     /// [`record_linked`](Self::record_linked) once the span ends.
     pub fn alloc_span(&self) -> u64 {

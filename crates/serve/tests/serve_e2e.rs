@@ -356,6 +356,62 @@ fn trace_replays_the_request_lifecycle_as_jsonl() {
     shut_down(server);
 }
 
+/// `(request, span, parent, stage)` of every line of a `/trace` body.
+fn trace_records(text: &str) -> Vec<(u64, u64, u64, String)> {
+    let field = |obj: &std::collections::BTreeMap<String, Json>, key: &str| {
+        obj[key].as_u64().expect("numeric span field")
+    };
+    text.lines()
+        .map(|line| {
+            let record = Json::parse(line).expect("every trace line is a JSON object");
+            let obj = record.as_obj().expect("object");
+            let stage = obj["stage"].as_str().expect("stage").to_string();
+            (field(obj, "request"), field(obj, "span"), field(obj, "parent"), stage)
+        })
+        .collect()
+}
+
+#[test]
+fn a_forwarded_request_joins_the_senders_trace() {
+    let server = Server::bind(test_config()).expect("bind");
+    let base = u64::from(server.addr().port()) << 32;
+    let spec = r#"{"experiment":"table2","preset":"fast","seed":4}"#;
+    let traced = http().post(server.addr(), "/run?trace=7.42", spec.as_bytes()).expect("run");
+    assert_eq!(traced.status, 200, "{}", traced.text());
+
+    let text = http().get(server.addr(), "/trace").expect("trace").text();
+    let records = trace_records(&text);
+    let forwarded: Vec<_> = records.iter().filter(|r| r.0 == 7).collect();
+    // The execute span hangs under the sender's span, and its ID comes
+    // from this server's port-namespaced range.
+    let execute = forwarded
+        .iter()
+        .find(|r| r.3 == "cluster.worker_execute")
+        .expect("a cluster.worker_execute span under the sender's request");
+    assert_eq!(execute.2, 42, "the execute span hangs under the sender's span");
+    assert!(execute.1 > base, "span IDs must be port-namespaced: {}", execute.1);
+    // The lookup and the simulation hang under the execute span; the front
+    // end's own stages hang under the sender's span.
+    for stage in ["serve.cache_lookup", "serve.single_flight_wait", "serve.simulate"] {
+        let child = forwarded.iter().find(|r| r.3 == stage).expect(stage);
+        assert_eq!(child.2, execute.1, "{stage} must hang under the execute span");
+    }
+    for stage in ["serve.accept", "serve.queue_wait", "serve.parse", "serve.serialize"] {
+        let span = forwarded.iter().find(|r| r.3 == stage).expect(stage);
+        assert_eq!(span.2, 42, "{stage} must hang under the sender's span");
+    }
+
+    // A request without a context is its own root under a local ID, and
+    // records no execute span.
+    assert_eq!(post_run(&server, spec).status, 200);
+    let text = http().get(server.addr(), "/trace").expect("trace").text();
+    let local: Vec<_> = trace_records(&text).into_iter().filter(|r| r.0 != 7).collect();
+    assert!(local.iter().all(|r| r.0 > base), "request IDs must be port-namespaced");
+    assert!(local.iter().all(|r| r.2 == 0), "an untraced request's spans are roots");
+    assert!(local.iter().all(|r| r.3 != "cluster.worker_execute"));
+    shut_down(server);
+}
+
 #[test]
 fn shutdown_endpoint_stops_the_server() {
     let server = Server::bind(test_config()).expect("bind");
